@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test test-fast smoke serve-smoke store-smoke \
 	perf-smoke sense-smoke runtime-smoke segmenter-smoke fleet-smoke \
-	redteam-smoke scenario-smoke bench examples clean
+	redteam-smoke scenario-smoke perfbench-smoke bench examples clean
 
 # Artifact-store directory for store-smoke.  Deliberately NOT removed
 # by the target: CI restores it via actions/cache so the second run —
@@ -140,6 +140,15 @@ sense-smoke:
 	$(PYTHON) benchmarks/bench_sense_throughput.py --quick
 	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
 		--requests 8 --concurrency 4 --p95-target-ms 150 --seed 0
+
+# Benchmark smoke: a short traced run of each BENCHMARK.json workload.
+# perfbench/run.py exits non-zero when a correctness check fails (its
+# result line then reads "correct": false), which fails the target.
+perfbench-smoke:
+	python3 perfbench/run.py --workload live-mixed --seed 1 --seconds 10 \
+		--trace 1
+	python3 perfbench/run.py --workload campaign --seed 1 --seconds 10 \
+		--trace 1
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,4 +1,9 @@
-"""Batched vs sequential inference throughput (not a paper figure).
+"""Batched vs sequential inference throughput: a synthetic micro-benchmark.
+
+Not a paper figure, and not comparable to the canonical workload: the
+inputs are 6-8k-sample white-noise pairs, a fraction of the ~39k-sample
+speech pairs of ``build_recording_pool`` that ``perfbench/run.py``
+measures end to end (see ``perfbench/NOTES.md``).
 
 Measures the vectorized micro-batch fast path end-to-end: the masked
 BLSTM segmentation stage (`PhonemeSegmenter.segments_batch` vs a
@@ -198,8 +203,16 @@ def run_sweep(batch_sizes=BATCH_SIZES, rounds=5):
     return seg_rows, speedups, sense_rows, e2e_rows
 
 
+#: First line of the results file.
+HEADER = (
+    "synthetic micro-benchmark: 6-8k-sample noise pairs, not comparable "
+    "to the canonical ~39k-sample recording pool (perfbench/NOTES.md)"
+)
+
+
 def render(seg_rows, sense_rows, e2e_rows, rounds):
-    body = format_table(
+    body = HEADER + "\n\n"
+    body += format_table(
         ["batch", "seq req/s", "batched req/s", "speedup", "f32 req/s"],
         seg_rows,
         title=(
@@ -250,7 +263,10 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="sequential vs batched inference throughput"
+        description=(
+            "synthetic micro-benchmark: sequential vs batched inference "
+            "throughput on 6-8k-sample noise pairs"
+        )
     )
     parser.add_argument(
         "--quick",

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.acoustics.materials import BarrierMaterial
-from repro.utils.rng import SeedLike, as_generator
+from repro.dsp.spectrum import apply_spectral_gain, random_ripple
+from repro.utils.rng import SeedLike
 from repro.utils.validation import ensure_1d, ensure_positive
 
 
@@ -73,33 +74,17 @@ class Barrier:
         Applies the material transmission gain in the FFT domain, plus
         smooth random resonance ripples when ``resonance_db > 0``.
         """
-        samples = ensure_1d(signal)
-        ensure_positive(sample_rate, "sample_rate")
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        gain = self.transmission_gain(frequencies)
-        if self.resonance_db > 0:
-            gain = gain * self._resonance_ripple(frequencies, rng)
-        return np.fft.irfft(spectrum * gain, n=samples.size)
 
-    def _resonance_ripple(
-        self,
-        frequencies: np.ndarray,
-        rng: SeedLike,
-    ) -> np.ndarray:
-        """Smooth log-amplitude ripple across frequency (structural modes)."""
-        generator = as_generator(rng)
-        n_modes = 6
-        ripple_db = np.zeros_like(frequencies)
-        span = max(float(frequencies[-1]), 1.0)
-        for _ in range(n_modes):
-            center = generator.uniform(100.0, span)
-            width = generator.uniform(span / 40.0, span / 10.0)
-            amplitude = generator.normal(0.0, self.resonance_db)
-            ripple_db += amplitude * np.exp(
-                -0.5 * ((frequencies - center) / width) ** 2
-            )
-        return 10.0 ** (ripple_db / 20.0)
+        def gain(frequencies: np.ndarray) -> np.ndarray:
+            transmission = self.transmission_gain(frequencies)
+            if self.resonance_db > 0:
+                transmission = transmission * random_ripple(
+                    frequencies, rng, n_modes=6, min_center_hz=100.0,
+                    width_divisors=(40.0, 10.0), sigma_db=self.resonance_db,
+                )
+            return transmission
+
+        return apply_spectral_gain(ensure_1d(signal), sample_rate, gain)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsp.spectrum import apply_spectral_gain
 from repro.errors import ConfigurationError
-from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
+from repro.utils.validation import ensure_1d, ensure_2d
 
 
 @dataclass(frozen=True)
@@ -78,21 +79,7 @@ class Loudspeaker:
         Applies the band-pass response and a weak memoryless quadratic
         nonlinearity (even-harmonic distortion).
         """
-        samples = ensure_1d(signal)
-        ensure_positive(sample_rate, "sample_rate")
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        shaped = np.fft.irfft(
-            spectrum * self.frequency_response(frequencies), n=samples.size
-        )
-        if self.spec.harmonic_distortion > 0:
-            peak = float(np.max(np.abs(shaped))) + 1e-12
-            normalized = shaped / peak
-            shaped = peak * (
-                normalized
-                + self.spec.harmonic_distortion * normalized**2
-            )
-        return shaped
+        return self._emit(ensure_1d(signal), sample_rate)
 
     def play_batch(
         self, signals: np.ndarray, sample_rate: float
@@ -103,16 +90,11 @@ class Loudspeaker:
         ``play(signals[i], sample_rate)``: the FFT shaping runs along the
         last axis and the distortion normalizes by each row's own peak.
         """
-        samples = ensure_2d(signals, "signals")
-        ensure_positive(sample_rate, "sample_rate")
-        spectrum = np.fft.rfft(samples, axis=-1)
-        frequencies = np.fft.rfftfreq(
-            samples.shape[-1], d=1.0 / sample_rate
-        )
-        shaped = np.fft.irfft(
-            spectrum * self.frequency_response(frequencies),
-            n=samples.shape[-1],
-            axis=-1,
+        return self._emit(ensure_2d(signals, "signals"), sample_rate)
+
+    def _emit(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
+        shaped = apply_spectral_gain(
+            samples, sample_rate, self.frequency_response
         )
         if self.spec.harmonic_distortion > 0:
             peaks = np.max(np.abs(shaped), axis=-1, keepdims=True) + 1e-12

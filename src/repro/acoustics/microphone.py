@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.acoustics.spl import REFERENCE_RMS_AT_65_DB, db_to_gain
+from repro.dsp.spectrum import apply_spectral_gain
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ensure_1d, ensure_positive
+from repro.utils.validation import ensure_1d
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,9 @@ class Microphone:
         equivalent input level, and clips at full scale.
         """
         samples = ensure_1d(sound_field)
-        ensure_positive(sample_rate, "sample_rate")
         generator = as_generator(rng)
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        shaped = np.fft.irfft(
-            spectrum * self.frequency_response(frequencies), n=samples.size
+        shaped = apply_spectral_gain(
+            samples, sample_rate, self.frequency_response
         )
         noise_rms = REFERENCE_RMS_AT_65_DB * db_to_gain(
             self.spec.noise_floor_db - 65.0

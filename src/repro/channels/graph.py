@@ -17,10 +17,12 @@ sensor's body-motion stream) sees the same parent state the sequential
 pre-refactor code produced — which is what keeps the refactor bitwise
 invisible.
 
-``apply_batch`` reuses PR 9's bucket strategy: recordings of equal
-length form dense ``(batch, time)`` stacks pushed through each stage's
-vectorized ``apply_batch``; grouping by *exact* length (never padding)
-is what preserves bitwise parity with the sequential path.
+``apply_batch`` groups recordings of equal length into dense ``(batch,
+time)`` stacks pushed through each stage's vectorized ``apply_batch``.
+FFT stages pad a stack only to the fast length of its own recording
+length (:func:`~repro.dsp.spectrum.apply_spectral_gain`), never to a
+batch-mate's, which is what preserves bitwise parity with the
+sequential path.
 """
 
 from __future__ import annotations

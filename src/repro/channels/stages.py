@@ -42,6 +42,7 @@ from repro.acoustics.barrier import Barrier
 from repro.acoustics.loudspeaker import Loudspeaker, LoudspeakerSpec
 from repro.acoustics.materials import BarrierMaterial
 from repro.acoustics.propagation import propagate
+from repro.dsp.spectrum import apply_spectral_gain
 from repro.errors import ConfigurationError, SignalError
 from repro.sensing.accelerometer import Accelerometer, AccelerometerSpec
 from repro.sensing.conduction import ConductionPath
@@ -331,13 +332,7 @@ class SolidConductionStage(StageBase):
         return 10.0 ** (-loss_db / 20.0)
 
     def apply(self, signal, rate, rng=None, chain_input=None):
-        samples = ensure_1d(signal)
-        ensure_positive(rate, "rate")
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / rate)
-        return np.fft.irfft(
-            spectrum * self.gain(frequencies), n=samples.size
-        )
+        return apply_spectral_gain(ensure_1d(signal), rate, self.gain)
 
 
 @dataclass(frozen=True)

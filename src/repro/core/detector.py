@@ -73,14 +73,15 @@ class CorrelationDetector:
         The single place the boundary semantics live (attack iff
         ``score < threshold``); :meth:`is_attack` and
         :meth:`repro.core.pipeline.DefensePipeline.analyze` both
-        delegate here so the two can never drift.
+        delegate here so the two can never drift.  A non-finite score
+        (``nan``, ``±inf``) decides "attack": the defense fails closed.
         """
         if self.config.threshold is None:
             raise ConfigurationError(
                 "detector has no threshold; set DetectorConfig.threshold "
                 "or calibrate one with repro.eval"
             )
-        return score < self.config.threshold
+        return not np.isfinite(score) or score < self.config.threshold
 
     def with_threshold(self, threshold: float) -> "CorrelationDetector":
         """A copy of this detector with ``threshold`` set."""

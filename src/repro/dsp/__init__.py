@@ -30,6 +30,7 @@ from repro.dsp.mel import hz_to_mel, mel_filterbank, mel_to_hz, mfcc
 from repro.dsp.quantiles import spectral_quartile_profile
 from repro.dsp.resample import alias_decimate, resample_poly_safe
 from repro.dsp.spectrum import (
+    apply_spectral_gain,
     band_energy,
     band_energy_ratio,
     fft_frequencies,
@@ -66,6 +67,7 @@ __all__ = [
     "spectral_quartile_profile",
     "alias_decimate",
     "resample_poly_safe",
+    "apply_spectral_gain",
     "band_energy",
     "band_energy_ratio",
     "fft_frequencies",

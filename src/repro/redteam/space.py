@@ -34,6 +34,7 @@ from typing import Dict
 import numpy as np
 
 from repro.attacks.base import AttackSound
+from repro.dsp.spectrum import apply_spectral_gain
 from repro.errors import ConfigurationError
 
 
@@ -150,18 +151,18 @@ class AttackSpace:
 
         band_gains_db = params[: self.n_bands]
         if np.any(band_gains_db):
-            spectrum = np.fft.rfft(shaped)
-            frequencies = np.fft.rfftfreq(
-                shaped.size, d=1.0 / sample_rate
-            )
-            gain = np.ones_like(frequencies)
-            edges = self.band_edges_hz
-            for index in range(self.n_bands):
-                band = (frequencies >= edges[index]) & (
-                    frequencies < edges[index + 1]
-                )
-                gain[band] = 10.0 ** (band_gains_db[index] / 20.0)
-            shaped = np.fft.irfft(spectrum * gain, n=shaped.size)
+
+            def band_gain(frequencies: np.ndarray) -> np.ndarray:
+                gain = np.ones_like(frequencies)
+                edges = self.band_edges_hz
+                for index in range(self.n_bands):
+                    band = (frequencies >= edges[index]) & (
+                        frequencies < edges[index + 1]
+                    )
+                    gain[band] = 10.0 ** (band_gains_db[index] / 20.0)
+                return gain
+
+            shaped = apply_spectral_gain(shaped, sample_rate, band_gain)
 
         slice_gains_db = params[self.n_bands:]
         if slice_gains_db.size and np.any(slice_gains_db):

@@ -17,9 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.dsp.spectrum import apply_spectral_gain, random_ripple
 from repro.errors import ConfigurationError
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ensure_2d
+from repro.utils.rng import SeedLike
+from repro.utils.validation import ensure_1d, ensure_2d
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,10 @@ class ConductionPath:
         between replays, so two conversions never see the bit-identical
         coupling.
         """
-        samples = np.asarray(signal, dtype=np.float64)
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        gain = self.response(frequencies)
-        if self.response_jitter_db > 0:
-            gain = gain * self._response_ripple(frequencies, rng)
-        return np.fft.irfft(spectrum * gain, n=samples.size)
+        samples = ensure_1d(signal)
+        return self.apply_batch(
+            samples[np.newaxis, :], sample_rate, rngs=[rng]
+        )[0]
 
     def apply_batch(
         self,
@@ -125,37 +123,19 @@ class ConductionPath:
                 f"need one rng per signal: got {len(rngs)} rngs for "
                 f"{n_items} signals"
             )
-        spectrum = np.fft.rfft(samples, axis=-1)
-        frequencies = np.fft.rfftfreq(
-            samples.shape[-1], d=1.0 / sample_rate
-        )
-        gain = self.response(frequencies)
-        if self.response_jitter_db > 0:
-            gains = np.empty((n_items, frequencies.size))
-            for index, rng in enumerate(rngs):
-                gains[index] = gain * self._response_ripple(
-                    frequencies, rng
-                )
-        else:
-            gains = gain[np.newaxis, :]
-        return np.fft.irfft(
-            spectrum * gains, n=samples.shape[-1], axis=-1
-        )
 
-    def _response_ripple(
-        self,
-        frequencies: np.ndarray,
-        rng: SeedLike,
-    ) -> np.ndarray:
-        """Smooth per-replay log-amplitude ripple (strap contact shift)."""
-        generator = as_generator(rng)
-        span = max(float(frequencies[-1]), 1.0)
-        ripple_db = np.zeros_like(frequencies)
-        for _ in range(4):
-            center = generator.uniform(200.0, span)
-            width = generator.uniform(span / 16.0, span / 6.0)
-            amplitude = generator.normal(0.0, self.response_jitter_db)
-            ripple_db += amplitude * np.exp(
-                -0.5 * ((frequencies - center) / width) ** 2
-            )
-        return 10.0 ** (ripple_db / 20.0)
+        def gains(frequencies: np.ndarray) -> np.ndarray:
+            gain = self.response(frequencies)
+            if self.response_jitter_db <= 0:
+                return gain
+            ripples = [
+                random_ripple(
+                    frequencies, rng, n_modes=4, min_center_hz=200.0,
+                    width_divisors=(16.0, 6.0),
+                    sigma_db=self.response_jitter_db,
+                )
+                for rng in rngs
+            ]
+            return gain * np.stack(ripples)
+
+        return apply_spectral_gain(samples, sample_rate, gains)

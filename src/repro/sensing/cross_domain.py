@@ -161,11 +161,11 @@ class CrossDomainSensor:
 
         The channel groups recordings of equal length into dense
         ``(batch, time)`` stacks and pushes them through each stage's
-        vectorized ``apply_batch``.  Grouping by *exact* length (instead
-        of right-padding to the batch maximum) is what preserves bitwise
-        parity: padding would change the FFT length and the
-        ``sosfiltfilt`` edge extension, perturbing every sample in the
-        padded rows.
+        vectorized ``apply_batch``.  The FFT filters pad each stack to
+        the fast length of its own recording length, never to the batch
+        maximum: right-padding to the longest batch-mate would change
+        every shorter row's FFT length and ``sosfiltfilt`` edge
+        extension, so the result would depend on the batch.
 
         Returns
         -------

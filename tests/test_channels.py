@@ -120,6 +120,24 @@ class TestSensingChainParity:
             np.testing.assert_array_equal(got, want)
 
 
+    def test_batch_composition_invariance_fft_hostile_lengths(self):
+        """Lengths that are not 5-smooth take the zero-padded path."""
+        audios = [
+            _speech_like(n, seed=n)
+            for n in (39_566, 38_571, 39_566, 12_345)
+        ]
+        sensor = CrossDomainSensor()
+        batched = sensor.convert_batch(
+            audios, RATE, rngs=list(range(20, 24)), include_body_motion=True
+        )
+        sequential = [
+            sensor.convert(audio, RATE, rng=seed, include_body_motion=True)
+            for audio, seed in zip(audios, range(20, 24))
+        ]
+        for got, want in zip(batched, sequential):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestThruBarrierParity:
     """ThruBarrierChannel.transmit == the pre-refactor inline chain."""
 

@@ -100,6 +100,14 @@ class TestDetectorDecide:
         assert detector.decide(0.4 - 1e-9)
         assert not detector.decide(0.4)
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_fails_closed(self, score):
+        detector = CorrelationDetector(DetectorConfig(threshold=0.2))
+        assert detector.decide(score)
+        for seed in range(5):
+            jittered = detector.with_randomized_threshold(seed, 0.05)
+            assert jittered.decide(score)
+
     def test_decide_requires_threshold(self):
         from repro.core.detector import CorrelationDetector
         from repro.errors import ConfigurationError

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from repro.dsp.generators import tone, white_noise
 from repro.dsp.spectrum import (
+    apply_spectral_gain,
     band_energy,
     band_energy_ratio,
     fft_frequencies,
@@ -86,3 +88,93 @@ def test_band_energy_ratio_tone_below_split():
 
 def test_band_energy_ratio_of_silence_is_zero():
     assert band_energy_ratio(np.zeros(256) + 0.0, RATE, 100.0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# apply_spectral_gain: the zero-phase filtering kernel
+# ----------------------------------------------------------------------
+
+AUDIO_RATE = 16_000.0
+
+
+def _bandpass(frequencies):
+    """A speaker-like band-pass response (smooth, real, non-negative)."""
+    safe = np.maximum(frequencies, 1e-3)
+    return np.sqrt(
+        1.0 / (1.0 + (400.0 / safe) ** 4) / (1.0 + (safe / 6000.0) ** 8)
+    )
+
+
+@pytest.mark.parametrize("n", [4_000, 8_000, 12_000, 16_000])
+def test_spectral_gain_matches_circular_filter_at_5_smooth_length(n):
+    signal = np.random.default_rng(n).normal(size=n)
+    circular = np.fft.irfft(
+        np.fft.rfft(signal)
+        * _bandpass(np.fft.rfftfreq(n, d=1.0 / AUDIO_RATE)),
+        n=n,
+    )
+    got = apply_spectral_gain(signal, AUDIO_RATE, _bandpass)
+    np.testing.assert_array_equal(got, circular)
+
+
+@pytest.mark.parametrize("n", [39_566, 38_571, 12_345])
+def test_spectral_gain_zero_pads_hostile_length(n):
+    n_fft = next_fast_len(n, real=True)
+    assert n_fft > n
+    signal = np.random.default_rng(n).normal(size=n)
+    padded = np.concatenate([signal, np.zeros(n_fft - n)])
+    reference = np.fft.irfft(
+        np.fft.rfft(padded)
+        * _bandpass(np.fft.rfftfreq(n_fft, d=1.0 / AUDIO_RATE)),
+        n=n_fft,
+    )[:n]
+    got = apply_spectral_gain(signal, AUDIO_RATE, _bandpass)
+    assert got.shape == (n,)
+    np.testing.assert_array_equal(got, reference)
+
+
+@pytest.mark.parametrize("n", [16_000, 39_566, 12_345])
+def test_spectral_gain_rows_match_single_calls(n):
+    stack = np.random.default_rng(7).normal(size=(3, n))
+    batched = apply_spectral_gain(stack, AUDIO_RATE, _bandpass)
+    assert batched.shape == stack.shape
+    assert batched.flags["C_CONTIGUOUS"]
+    for row in range(stack.shape[0]):
+        single = apply_spectral_gain(stack[row], AUDIO_RATE, _bandpass)
+        np.testing.assert_array_equal(batched[row], single)
+
+
+def test_spectral_gain_accepts_per_row_gains():
+    stack = np.random.default_rng(8).normal(size=(2, 39_566))
+    scales = np.array([[0.5], [2.0]])
+    batched = apply_spectral_gain(
+        stack, AUDIO_RATE, lambda f: scales * _bandpass(f)
+    )
+    for row, scale in enumerate(scales[:, 0]):
+        single = apply_spectral_gain(
+            stack[row], AUDIO_RATE, lambda f: scale * _bandpass(f)
+        )
+        np.testing.assert_array_equal(batched[row], single)
+
+
+def test_spectral_gain_padding_keeps_the_tail_off_the_head():
+    # An impulse at the last sample: a circular filter wraps its
+    # non-causal half onto the first samples; the zero pad absorbs it.
+    n = 39_566
+    signal = np.zeros(n)
+    signal[-1] = 1.0
+    circular = np.fft.irfft(
+        np.fft.rfft(signal)
+        * _bandpass(np.fft.rfftfreq(n, d=1.0 / AUDIO_RATE)),
+        n=n,
+    )
+    padded = apply_spectral_gain(signal, AUDIO_RATE, _bandpass)
+    head = slice(0, 16)
+    assert np.max(np.abs(padded[head])) < 1e-3 * np.max(
+        np.abs(circular[head])
+    )
+
+
+def test_spectral_gain_rejects_bad_rate():
+    with pytest.raises(ConfigurationError):
+        apply_spectral_gain(np.ones(8), 0.0, _bandpass)

@@ -130,6 +130,34 @@ class TestConvertBatchParity:
         for together, alone in zip(full, flattened):
             np.testing.assert_array_equal(together, alone)
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [(39_566, 38_571, 39_566, 38_571), (12_345, 39_566, 12_345, 16_000)],
+    )
+    def test_fft_hostile_lengths_composition_invariance(self, sensor, lengths):
+        # Lengths that are not 5-smooth (2·73·271, 3·13·23·43, odd) are
+        # zero-padded inside the FFT filter; padding must stay per row,
+        # so batch-mates and batch size still cannot change an item.
+        rng = np.random.default_rng(888)
+        audios = [rng.normal(0.0, 0.1, n) for n in lengths]
+        seeds = [400 + index for index in range(len(audios))]
+        full = sensor.convert_batch(audios, AUDIO_RATE, rngs=seeds)
+        pairs = [
+            sensor.convert_batch(
+                audios[start : start + 2],
+                AUDIO_RATE,
+                rngs=seeds[start : start + 2],
+            )
+            for start in range(0, len(audios), 2)
+        ]
+        flattened = [item for pair in pairs for item in pair]
+        for audio, seed, together, alone in zip(
+            audios, seeds, full, flattened
+        ):
+            single = sensor.convert(audio, AUDIO_RATE, rng=seed)
+            np.testing.assert_array_equal(together, single)
+            np.testing.assert_array_equal(alone, single)
+
     def test_batch_of_one_matches_single(self, sensor):
         audio = make_audios(1)[0]
         batched = sensor.convert_batch([audio], AUDIO_RATE, rngs=[9])
