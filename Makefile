@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test test-fast smoke serve-smoke store-smoke \
 	perf-smoke sense-smoke runtime-smoke segmenter-smoke fleet-smoke \
-	redteam-smoke scenario-smoke perfbench-smoke bench examples clean
+	redteam-smoke scenario-smoke perfbench-smoke bench examples clean loc
 
 # Artifact-store directory for store-smoke.  Deliberately NOT removed
 # by the target: CI restores it via actions/cache so the second run —
@@ -149,6 +149,16 @@ perfbench-smoke:
 		--trace 1
 	python3 perfbench/run.py --workload campaign --seed 1 --seconds 10 \
 		--trace 1
+
+# Source line count of a change: lines added, deleted and net under
+# src/ between BASE and the working tree (tracked and staged files).
+# `make loc BASE=<commit>` reports against another base.
+BASE ?= HEAD~1
+loc:
+	@git diff --numstat $(BASE) -- src/ | awk \
+		'{ added += $$1; deleted += $$2 } END { \
+		printf "src/ vs $(BASE): +%d -%d net %+d\n", \
+		added, deleted, added - deleted }'
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -6,10 +6,11 @@ sampling rate, the per-stage randomness streams, and the chain's
 original input (for stages like the accelerometer that model artifacts
 of the *drive* signal).
 
-The randomness contract is the load-bearing part.  ``apply`` coerces the
-caller's seed into a generator once, then derives every stage's stream
-**up front, in stage order** — ``None`` for deterministic stages, the
-generator itself for :data:`~repro.channels.stages.PASSTHROUGH` stages,
+The randomness contract is the load-bearing part.  ``apply_batch``
+coerces each caller seed into a generator once, then derives every
+stage's stream **up front, in stage order** — ``None`` for
+deterministic stages, the generator itself for
+:data:`~repro.channels.stages.PASSTHROUGH` stages,
 ``child_rng(generator, label)`` otherwise.  Because child derivation
 consumes exactly one parent draw at derivation time, a caller that
 derives further children *after* ``apply``/``apply_batch`` returns (the
@@ -17,12 +18,12 @@ sensor's body-motion stream) sees the same parent state the sequential
 pre-refactor code produced — which is what keeps the refactor bitwise
 invisible.
 
-``apply_batch`` groups recordings of equal length into dense ``(batch,
-time)`` stacks pushed through each stage's vectorized ``apply_batch``.
-FFT stages pad a stack only to the fast length of its own recording
-length (:func:`~repro.dsp.spectrum.apply_spectral_gain`), never to a
-batch-mate's, which is what preserves bitwise parity with the
-sequential path.
+``apply_batch`` is the one implementation; ``apply`` is a batch of one.
+It groups recordings of equal length into dense ``(batch, time)``
+stacks pushed through each stage's ``apply_batch``.  FFT stages pad a
+stack only to the fast length of its own recording length
+(:func:`~repro.dsp.spectrum.apply_spectral_gain`), never to a
+batch-mate's, so an item's output does not depend on the batch.
 """
 
 from __future__ import annotations
@@ -86,19 +87,8 @@ class PropagationChannel:
         rate: float,
         rng: SeedLike = None,
     ) -> np.ndarray:
-        """Fold ``signal`` through every stage in order."""
-        samples = ensure_1d(signal)
-        ensure_positive(rate, "rate")
-        generator = as_generator(rng)
-        streams = self.derive_streams(generator)
-        current = samples
-        current_rate = float(rate)
-        for stage, stream in zip(self.stages, streams):
-            current = stage.apply(
-                current, current_rate, rng=stream, chain_input=samples
-            )
-            current_rate = stage.output_rate(current_rate)
-        return current
+        """Fold ``signal`` through every stage in order (a batch of one)."""
+        return self.apply_batch([ensure_1d(signal)], rate, rngs=[rng])[0]
 
     def apply_batch(
         self,
@@ -106,10 +96,11 @@ class PropagationChannel:
         rate: float,
         rngs: Optional[Sequence[SeedLike]] = None,
     ) -> List[np.ndarray]:
-        """:meth:`apply` over a batch, bitwise identical per item.
+        """Fold each of ``signals`` through every stage in order.
 
-        ``rngs[i]`` is the seed/generator a sequential
-        ``apply(signals[i], rate, rng=rngs[i])`` call would receive.
+        ``rngs[i]`` is the seed/generator of item ``i``.  Items of equal
+        length share one ``(batch, time)`` stack per stage; an item's
+        output does not depend on its batch-mates.
         """
         ensure_positive(rate, "rate")
         items = [ensure_1d(signal) for signal in signals]

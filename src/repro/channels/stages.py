@@ -21,10 +21,12 @@ Design rules
   stage stream *up front in stage order*, which is what makes the
   batched path bitwise identical to the sequential one (see PR 9's
   batch-parity contract).
-* ``apply_batch`` over a ``(batch, time)`` stack must be bitwise
-  identical row-by-row to ``apply``.  Stages with a vectorized kernel
-  (loudspeaker, conduction, accelerometer) delegate to it; the rest
-  inherit a loop-and-stack fallback that is trivially parity-safe.
+* Each stage has exactly one transform body.  Stages with a vectorized
+  kernel (loudspeaker, conduction, accelerometer) implement
+  ``apply_batch`` over a ``(batch, time)`` stack and inherit ``apply``
+  as a one-row batch; the per-row stages implement ``apply`` and
+  inherit ``apply_batch`` as a row loop.  Either way a row's output
+  does not depend on its batch-mates.
 * ``chain_input`` is the channel's *original* input signal; stages that
   need the pre-chain drive (the accelerometer's DC-envelope artifact)
   declare ``consumes_chain_input = True``.  Such stages must sit before
@@ -59,16 +61,6 @@ PASSTHROUGH = "<passthrough>"
 class ChannelStage(Protocol):
     """One composable transformation in a propagation channel."""
 
-    def apply(
-        self,
-        signal: np.ndarray,
-        rate: float,
-        rng: Optional[np.random.Generator] = None,
-        chain_input: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Transform ``signal`` (1-D) sampled at ``rate``."""
-        ...
-
     def apply_batch(
         self,
         signals: np.ndarray,
@@ -76,7 +68,7 @@ class ChannelStage(Protocol):
         rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
         chain_inputs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Transform a ``(batch, time)`` stack, bitwise equal per row."""
+        """Transform a ``(batch, time)`` stack sampled at ``rate``."""
         ...
 
     def output_rate(self, rate: float) -> float:
@@ -85,7 +77,11 @@ class ChannelStage(Protocol):
 
 
 class StageBase:
-    """Shared stage behavior: identity rate, loop-and-stack batching."""
+    """Shared stage behavior: identity rate and the two transform forms.
+
+    A subclass overrides exactly one of :meth:`apply` (one signal) and
+    :meth:`apply_batch` (a stack); the base class derives the other.
+    """
 
     #: Randomness policy — see module docstring.
     rng_label: Optional[str] = None
@@ -101,8 +97,19 @@ class StageBase:
         rate: float,
         rng: Optional[np.random.Generator] = None,
         chain_input: Optional[np.ndarray] = None,
-    ) -> np.ndarray:  # pragma: no cover - subclasses override
-        raise NotImplementedError
+    ) -> np.ndarray:
+        """Transform one signal: a one-row :meth:`apply_batch`."""
+        if type(self).apply_batch is StageBase.apply_batch:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override apply or apply_batch"
+            )
+        chains = (
+            None
+            if chain_input is None
+            else ensure_1d(chain_input)[np.newaxis]
+        )
+        rows = ensure_1d(signal)[np.newaxis]
+        return self.apply_batch(rows, rate, rngs=[rng], chain_inputs=chains)[0]
 
     def apply_batch(
         self,
@@ -111,7 +118,7 @@ class StageBase:
         rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
         chain_inputs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Row-wise fallback: bitwise-parity-safe by construction."""
+        """Transform a stack row by row through :meth:`apply`."""
         samples = ensure_2d(signals, "signals")
         n_items = samples.shape[0]
         if rngs is None:
@@ -148,9 +155,6 @@ class LoudspeakerStage(StageBase):
     """Playback through a driver (band shaping + harmonic distortion)."""
 
     spec: LoudspeakerSpec
-
-    def apply(self, signal, rate, rng=None, chain_input=None):
-        return Loudspeaker(self.spec).play(signal, rate)
 
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
         return Loudspeaker(self.spec).play_batch(signals, rate)
@@ -201,9 +205,6 @@ class ConductionStage(StageBase):
 
     rng_label = "strap"
 
-    def apply(self, signal, rate, rng=None, chain_input=None):
-        return self.path.apply(signal, rate, rng=rng)
-
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
         return self.path.apply_batch(signals, rate, rngs=rngs)
 
@@ -224,12 +225,6 @@ class AccelerometerStage(StageBase):
 
     def output_rate(self, rate: float) -> float:
         return self.spec.sample_rate
-
-    def apply(self, signal, rate, rng=None, chain_input=None):
-        drive = signal if chain_input is None else chain_input
-        return Accelerometer(self.spec).sense(
-            signal, rate, drive_audio=drive, rng=rng
-        )
 
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
         drives = signals if chain_inputs is None else chain_inputs

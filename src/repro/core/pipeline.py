@@ -25,17 +25,10 @@ import numpy as np
 from repro.core.detector import CorrelationDetector, DetectorConfig
 from repro.core.features import FeatureConfig, VibrationFeatureExtractor
 from repro.core.hardening import HardeningConfig
-from repro.core.segmentation import concatenate_segments
 from repro.core.segmenter import Segmenter
-from repro.core.stages import (
-    Stage,
-    StageContext,
-    default_stages,
-    min_material_samples,
-    stages_after_sync,
-)
+from repro.core.stages import Stage, StageContext, default_stages
 from repro.core.sync import SyncConfig
-from repro.errors import ConfigurationError, SignalError
+from repro.errors import ConfigurationError
 from repro.phonemes.corpus import Utterance
 from repro.runtime.events import StageEvent, StageEventSink, emit_event
 from repro.sensing.cross_domain import CrossDomainSensor
@@ -309,78 +302,72 @@ class DefensePipeline:
         """:meth:`analyze`, plus per-stage wall-clock seconds.
 
         The returned dict has one entry per :data:`PIPELINE_STAGES`
-        key.  Timing instrumentation never affects the verdict: the
-        stages consume the same RNG streams in the same order as
-        :meth:`analyze`.
+        key.  This is :meth:`analyze_batch` on a batch of one; the
+        request's captured error, if any, is raised here.
         """
-        ctx = StageContext(
-            pipeline=self,
-            va_audio=va_audio,
-            wearable_audio=wearable_audio,
-            generator=as_generator(rng),
-            oracle_utterance=oracle_utterance,
-            skip_segmentation=skip_segmentation,
+        (outcome,) = self.analyze_batch(
+            [
+                BatchAnalysisItem(
+                    va_audio=va_audio,
+                    wearable_audio=wearable_audio,
+                    rng=rng,
+                    oracle_utterance=oracle_utterance,
+                    skip_segmentation=skip_segmentation,
+                )
+            ]
         )
-        timings: Dict[str, float] = {}
-        self._run_stages(ctx, default_stages(), timings, [])
-        return self._verdict_from(ctx), timings
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.verdict, outcome.timings
 
     def analyze_batch(
         self,
         items: Sequence[BatchAnalysisItem],
         dtype=None,
     ) -> List[BatchAnalysisOutcome]:
-        """Analyze a micro-batch with vectorized segmentation and sensing.
+        """Analyze a micro-batch: the one implementation of the line.
 
-        The two hottest stages are hoisted out of the per-request loop:
+        :meth:`analyze` and :meth:`analyze_timed` are this method on a
+        batch of one.  Every request runs the stage objects of
+        :func:`~repro.core.stages.default_stages` with its own RNG
+        stream, and the two hottest stages share one pass across the
+        batch:
 
-        * **segmentation** — every batch member that needs model-based
-          segmentation contributes its (synced) VA recording to a
-          single
+        * **segmentation** — every request that needs model-based
+          segmentation contributes its synced VA recording to one
           :meth:`~repro.core.segmentation.PhonemeSegmenter.segments_batch`
           call;
-        * **cross-domain sensing** — after material extraction, the
-          whole batch's ``replay-va`` conversions become one
+        * **cross-domain sensing** — the ``replay-va`` conversions
+          become one
           :meth:`~repro.sensing.cross_domain.CrossDomainSensor.convert_batch`
-          call, and likewise the ``replay-wearable`` conversions.  Each
-          request's child RNG streams are derived in the sequential
-          order first, so every vibration signal is bitwise identical
-          to the sequential path.
+          call, and likewise the ``replay-wearable`` ones.  Each
+          request's child streams are derived first, in that order.
 
-        Everything request-specific (synchronization, oracle
-        segmentation, material extraction, feature extraction,
-        detection) still runs per request — through the same stage
-        objects as :meth:`analyze` — with the request's own RNG stream,
-        so each verdict is bitwise identical to a sequential
-        :meth:`analyze` call with the same arguments (``dtype=None``;
-        the opt-in float32 compute path trades that bitwise guarantee
-        for speed).
+        Both passes compute each row independently of its batch-mates,
+        so a verdict is bitwise the same in any batch (``dtype=None``;
+        the opt-in float32 compute path trades that guarantee for
+        speed).
 
-        Per-request semantics preserved:
+        Per-request semantics:
 
         * **stage timings** — per-request dicts with the usual
-          :data:`PIPELINE_STAGES` keys; the shared batched
-          segmentation and sensing costs are amortized equally across
-          the requests that used them;
+          :data:`PIPELINE_STAGES` keys; a shared pass's wall time is
+          amortized equally across the requests it served;
         * **deadline checks** — callers mark expired requests with
-          ``skip_segmentation=True`` exactly as on the sequential
-          path;
-        * **error isolation** — a failing request records its
-          exception in its own :class:`BatchAnalysisOutcome` and
-          never disturbs batch-mates; if a *batched* call itself
-          fails, that stage falls back to per-request execution
-          (sequential ``segments`` / ``convert`` with the
-          already-derived streams) so healthy requests still complete.
+          ``skip_segmentation=True``;
+        * **error isolation** — a failing request records its exception
+          in its own :class:`BatchAnalysisOutcome` and never disturbs
+          batch-mates; if a shared pass itself fails, its stage runs
+          per request instead (``segments`` / ``convert`` with the
+          already-derived streams), so healthy requests still complete;
+        * **events** — each request's stage events land in its outcome;
+          a shared pass that served two or more requests also emits one
+          ``segment_batch`` / ``sense_batch`` event of scope ``batch``.
+          A pass of one shares nothing, so a single request's event
+          stream is exactly its five stage events.
         """
-        items = list(items)
-        outcomes = [BatchAnalysisOutcome() for _ in items]
-        contexts: List[Optional[StageContext]] = []
-        sync_stage = tuple(
-            s for s in default_stages() if s.name == "sync"
-        )
-
-        for index, item in enumerate(items):
-            ctx = StageContext(
+        contexts = [
+            StageContext(
                 pipeline=self,
                 va_audio=item.va_audio,
                 wearable_audio=item.wearable_audio,
@@ -388,137 +375,102 @@ class DefensePipeline:
                 oracle_utterance=item.oracle_utterance,
                 skip_segmentation=item.skip_segmentation,
             )
-            outcome = outcomes[index]
+            for item in items
+        ]
+        outcomes = [BatchAnalysisOutcome() for _ in contexts]
+        sync, segment, *rest = default_stages()
+        self._run_each(contexts, outcomes, (sync,))
+        self._segment_batch(contexts, outcomes, dtype)
+        self._run_each(contexts, outcomes, (segment,))
+        self._sense_batch(contexts, outcomes)
+        self._run_each(contexts, outcomes, rest)
+        for ctx, outcome in zip(contexts, outcomes):
+            if outcome.error is None:
+                outcome.verdict = self._verdict_from(ctx)
+        return outcomes
+
+    def _run_each(
+        self,
+        contexts: Sequence[StageContext],
+        outcomes: Sequence[BatchAnalysisOutcome],
+        stages: Sequence[Stage],
+    ) -> None:
+        """Run ``stages`` over every healthy request, isolating errors."""
+        for ctx, outcome in zip(contexts, outcomes):
+            if outcome.error is not None:
+                continue
             try:
                 self._run_stages(
-                    ctx, sync_stage, outcome.timings, outcome.events
+                    ctx, stages, outcome.timings, outcome.events
                 )
             except Exception as error:  # noqa: BLE001 — isolated per item
                 outcome.error = error
-                contexts.append(None)
-                continue
-            contexts.append(ctx)
 
-        # One vectorized BLSTM forward for every request that needs
-        # model-based segmentation.
-        batched_indices = [
-            index
-            for index, item in enumerate(items)
-            if contexts[index] is not None
-            and not item.skip_segmentation
-            and item.oracle_utterance is None
-            and self.segmenter is not None
+    def _segment_batch(
+        self,
+        contexts: Sequence[StageContext],
+        outcomes: Sequence[BatchAnalysisOutcome],
+        dtype,
+    ) -> None:
+        """One vectorized BLSTM forward for every request that needs
+        model-based segmentation.
+
+        Pre-seeds ``segments`` (and the amortized ``segment`` timing
+        share) on each such context.  If the shared forward fails,
+        nothing is pre-seeded and
+        :class:`~repro.core.stages.SegmentStage` segments each request
+        itself.
+        """
+        if self.segmenter is None:
+            return
+        shared = [
+            ctx
+            for ctx, outcome in zip(contexts, outcomes)
+            if outcome.error is None
+            and not ctx.skip_segmentation
+            and ctx.oracle_utterance is None
         ]
-        segment_lists: Dict[int, List[Tuple[float, float]]] = {}
-        shared_segment_s = 0.0
-        if batched_indices:
-            batch_fallback: Optional[str] = None
-            start = time.perf_counter()
-            try:
-                found = self.segmenter.segments_batch(
-                    [
-                        contexts[index].va_aligned
-                        for index in batched_indices
-                    ],
-                    dtype=dtype,
-                )
-                segment_lists.update(zip(batched_indices, found))
-            except Exception:  # noqa: BLE001 — isolate per request
-                batch_fallback = "per-request"
-                for index in batched_indices:
-                    try:
-                        segment_lists[index] = self.segmenter.segments(
-                            contexts[index].va_aligned
-                        )
-                    except Exception as error:  # noqa: BLE001
-                        outcomes[index].error = error
-            batch_wall = time.perf_counter() - start
-            shared_segment_s = batch_wall / len(batched_indices)
-            self._emit(
-                StageEvent(
-                    stage="segment_batch",
-                    wall_s=batch_wall,
-                    batch_size=len(batched_indices),
-                    fallback=batch_fallback,
-                    scope="batch",
-                )
+        if not shared:
+            return
+        fallback: Optional[str] = None
+        start = time.perf_counter()
+        try:
+            found = self.segmenter.segments_batch(
+                [ctx.va_aligned for ctx in shared], dtype=dtype
             )
-
-        # Per-request segmentation / material extraction (respecting the
-        # pre-seeded segment lists), so the sensing hoist below sees the
-        # final audio material of every healthy request.
-        segment_stages = tuple(
-            s for s in stages_after_sync() if s.name == "segment"
-        )
-        post_segment_stages = tuple(
-            s for s in stages_after_sync() if s.name != "segment"
-        )
-        for index in range(len(items)):
-            outcome = outcomes[index]
-            ctx = contexts[index]
-            if outcome.error is not None or ctx is None:
-                continue
-            if index in segment_lists:
-                ctx.segments = segment_lists[index]
-                ctx.extra_stage_s["segment"] = shared_segment_s
-            try:
-                self._run_stages(
-                    ctx, segment_stages, outcome.timings, outcome.events
-                )
-            except Exception as error:  # noqa: BLE001 — isolated
-                outcome.error = error
-
-        # One vectorized cross-domain sensing pass per replay direction
-        # for every request still healthy.  The child streams are
-        # derived per request in the sequential order (``replay-va``
-        # then ``replay-wearable``) *before* the batched calls, so a
-        # batch-level failure can fall back to per-request conversion
-        # inside SenseStage without perturbing any stream.
-        self._sense_batch(items, contexts, outcomes)
-
-        for index in range(len(items)):
-            outcome = outcomes[index]
-            ctx = contexts[index]
-            if outcome.error is not None or ctx is None:
-                continue
-            try:
-                self._run_stages(
-                    ctx,
-                    post_segment_stages,
-                    outcome.timings,
-                    outcome.events,
-                )
-                outcome.verdict = self._verdict_from(ctx)
-            except Exception as error:  # noqa: BLE001 — isolated
-                outcome.error = error
-        return outcomes
+        except Exception:  # noqa: BLE001 — SegmentStage falls back
+            found = [None] * len(shared)
+            fallback = "per-request"
+        wall = time.perf_counter() - start
+        for ctx, segments in zip(shared, found):
+            ctx.segments = segments
+            ctx.extra_stage_s["segment"] = wall / len(shared)
+        self._emit_shared("segment_batch", wall, len(shared), fallback)
 
     def _sense_batch(
         self,
-        items: Sequence[BatchAnalysisItem],
-        contexts: Sequence[Optional[StageContext]],
+        contexts: Sequence[StageContext],
         outcomes: Sequence[BatchAnalysisOutcome],
     ) -> None:
         """Vectorized sensing across a batch's healthy requests.
 
-        Pre-seeds ``vibration_va`` / ``vibration_wearable`` (and the
-        amortized ``sense`` timing share) on each surviving context.  On
-        failure of a batched conversion nothing is pre-seeded beyond the
-        derived RNG streams, and :class:`~repro.core.stages.SenseStage`
-        converts per request with those exact streams — bitwise the same
-        result, minus the speedup.
+        Derives each request's replay streams (``replay-va`` then
+        ``replay-wearable``), then pre-seeds ``vibration_va`` /
+        ``vibration_wearable`` (and the amortized ``sense`` timing
+        share) on each context.  If a batched conversion fails, only
+        the streams are pre-seeded and
+        :class:`~repro.core.stages.SenseStage` converts per request with
+        them.
         """
         config = self.config
-        sense_indices = [
-            index
-            for index in range(len(items))
-            if contexts[index] is not None
-            and outcomes[index].error is None
+        shared = [
+            ctx
+            for ctx, outcome in zip(contexts, outcomes)
+            if outcome.error is None
         ]
-        if not sense_indices:
+        if not shared:
             return
-        for index in sense_indices:
-            ctx = contexts[index]
+        for ctx in shared:
             ctx.sense_rng_va = child_rng(ctx.generator, "replay-va")
             ctx.sense_rng_wearable = child_rng(
                 ctx.generator, "replay-wearable"
@@ -527,45 +479,28 @@ class DefensePipeline:
         start = time.perf_counter()
         try:
             vibrations_va = self.sensor.convert_batch(
-                [contexts[index].va_material for index in sense_indices],
+                [ctx.va_material for ctx in shared],
                 config.audio_rate,
-                rngs=[
-                    contexts[index].sense_rng_va
-                    for index in sense_indices
-                ],
+                rngs=[ctx.sense_rng_va for ctx in shared],
                 include_body_motion=config.wearer_moving,
             )
             vibrations_wearable = self.sensor.convert_batch(
-                [
-                    contexts[index].wearable_material
-                    for index in sense_indices
-                ],
+                [ctx.wearable_material for ctx in shared],
                 config.audio_rate,
-                rngs=[
-                    contexts[index].sense_rng_wearable
-                    for index in sense_indices
-                ],
+                rngs=[ctx.sense_rng_wearable for ctx in shared],
                 include_body_motion=config.wearer_moving,
             )
         except Exception:  # noqa: BLE001 — SenseStage falls back
             fallback = "per-request"
-        batch_wall = time.perf_counter() - start
+        wall = time.perf_counter() - start
         if fallback is None:
-            shared_sense_s = batch_wall / len(sense_indices)
-            for row, index in enumerate(sense_indices):
-                ctx = contexts[index]
-                ctx.vibration_va = vibrations_va[row]
-                ctx.vibration_wearable = vibrations_wearable[row]
-                ctx.extra_stage_s["sense"] = shared_sense_s
-        self._emit(
-            StageEvent(
-                stage="sense_batch",
-                wall_s=batch_wall,
-                batch_size=len(sense_indices),
-                fallback=fallback,
-                scope="batch",
-            )
-        )
+            for ctx, va, wearable in zip(
+                shared, vibrations_va, vibrations_wearable
+            ):
+                ctx.vibration_va = va
+                ctx.vibration_wearable = wearable
+                ctx.extra_stage_s["sense"] = wall / len(shared)
+        self._emit_shared("sense_batch", wall, len(shared), fallback)
 
     def score(
         self,
@@ -586,6 +521,26 @@ class DefensePipeline:
 
     def _emit(self, event: StageEvent) -> None:
         emit_event(event, sink=self.sink)
+
+    def _emit_shared(
+        self,
+        stage: str,
+        wall_s: float,
+        n_requests: int,
+        fallback: Optional[str],
+    ) -> None:
+        """Emit a shared pass's batch-scope event; a pass of one request
+        shares nothing, so it emits none."""
+        if n_requests >= 2:
+            self._emit(
+                StageEvent(
+                    stage=stage,
+                    wall_s=wall_s,
+                    batch_size=n_requests,
+                    fallback=fallback,
+                    scope="batch",
+                )
+            )
 
     def _run_stages(
         self,
@@ -687,31 +642,3 @@ class DefensePipeline:
             va_audio, utterance.waveform, max_lag
         )
         return max(0.0, -delay / self.config.audio_rate)
-
-    def _extract_material(
-        self,
-        va_audio: np.ndarray,
-        wearable_audio: np.ndarray,
-        segments: Sequence[Tuple[float, float]],
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Cut sensitive segments from both recordings (VA's timeline).
-
-        Falls back to the full recordings when segmentation yields too
-        little material for a stable correlation.  Retained as the
-        reference implementation of the extraction contract; the stage
-        line (:class:`~repro.core.stages.SegmentStage`) implements the
-        same policy with fallback annotation.
-        """
-        config = self.config
-        if segments:
-            va_material = concatenate_segments(
-                va_audio, segments, config.audio_rate
-            )
-            wearable_material = concatenate_segments(
-                wearable_audio, segments, config.audio_rate
-            )
-            if va_material.size >= min_material_samples(self):
-                return va_material, wearable_material, len(segments)
-        if va_audio.size == 0 or wearable_audio.size == 0:
-            raise SignalError("cannot analyze empty recordings")
-        return np.asarray(va_audio), np.asarray(wearable_audio), 0

@@ -11,9 +11,9 @@ hand-rolled ``try/except`` blocks inside one long method.
 A :class:`StageContext` carries the request through the line: the
 immutable inputs, the pipeline's components, and the products each
 stage leaves for the next.  Stages communicate *only* through the
-context, which is what makes the batched path able to pre-seed
-``segments`` from a shared vectorized forward and then run the very
-same stage objects per request.
+context, which is what lets the pipeline pre-seed ``segments`` and the
+vibrations from shared vectorized passes and then run the very same
+stage objects per request.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ FALLBACK_DEADLINE_SKIP = "deadline-skip"
 #: Fallback annotation when segmentation yielded too little material
 #: and the analysis used the full recordings instead.
 FALLBACK_FULL_RECORDING = "full-recording"
+#: Fallback annotation when the detection score was not finite; a
+#: calibrated detector then reports an attack (fails closed).
+FALLBACK_NON_FINITE = "non-finite"
 
 
 @dataclass
@@ -63,10 +66,9 @@ class StageContext:
     va_material: Optional[np.ndarray] = None
     wearable_material: Optional[np.ndarray] = None
     n_segments: int = 0
-    #: Child RNG streams for the two sensing replays, pre-derived by the
-    #: batched path (in the sequential order: ``replay-va`` then
-    #: ``replay-wearable``) so a failed batched sensing pass can fall
-    #: back to per-request conversion without perturbing the stream.
+    #: Child RNG streams for the two sensing replays, derived by the
+    #: batched sensing pass (``replay-va`` then ``replay-wearable``) so
+    #: a failed pass can fall back to per-request conversion.
     sense_rng_va: Optional["object"] = None
     sense_rng_wearable: Optional["object"] = None
     #: ``None`` until sensing ran; the batched path pre-seeds these from
@@ -213,9 +215,10 @@ class SegmentStage(Stage):
 class SenseStage(Stage):
     """Cross-domain sensing: audio material → wearable vibrations.
 
-    Consumes the request's RNG streams in the library-wide order
-    (``replay-va`` then ``replay-wearable``) — the determinism contract
-    every caller relies on.
+    The pipeline's batched sensing pass derives the request's replay
+    streams (``replay-va`` then ``replay-wearable``) and normally
+    pre-seeds both vibrations; this stage converts per request, with
+    those streams, only when that pass failed.
     """
 
     name = "sense"
@@ -225,26 +228,19 @@ class SenseStage(Stage):
             ctx.vibration_va is not None
             and ctx.vibration_wearable is not None
         ):
-            # Pre-seeded by the batched sensing pass; the replay draws
-            # were already consumed when its streams were derived.
-            return
+            return  # pre-seeded by the batched sensing pass
         pipeline = ctx.pipeline
         config = pipeline.config
-        rng_va = ctx.sense_rng_va
-        rng_wearable = ctx.sense_rng_wearable
-        if rng_va is None or rng_wearable is None:
-            rng_va = child_rng(ctx.generator, "replay-va")
-            rng_wearable = child_rng(ctx.generator, "replay-wearable")
         ctx.vibration_va = pipeline.sensor.convert(
             ctx.va_material,
             config.audio_rate,
-            rng=rng_va,
+            rng=ctx.sense_rng_va,
             include_body_motion=config.wearer_moving,
         )
         ctx.vibration_wearable = pipeline.sensor.convert(
             ctx.wearable_material,
             config.audio_rate,
-            rng=rng_wearable,
+            rng=ctx.sense_rng_wearable,
             include_body_motion=config.wearer_moving,
         )
 
@@ -270,6 +266,9 @@ class DetectStage(Stage):
         ctx.score = pipeline.detector.score(
             ctx.features_va, ctx.features_wearable
         )
+        if not np.isfinite(ctx.score):
+            # A calibrated ``decide`` fails closed on it; the event says so.
+            ctx.fallbacks[self.name] = FALLBACK_NON_FINITE
         if pipeline.config.detector.threshold is not None:
             detector = pipeline.detector
             hardening = pipeline.config.hardening
@@ -293,9 +292,3 @@ def default_stages() -> Tuple[Stage, ...]:
         FeatureStage(),
         DetectStage(),
     )
-
-
-def stages_after_sync() -> Tuple[Stage, ...]:
-    """The line minus synchronization (the batched path runs sync
-    per request before the shared segmentation forward)."""
-    return tuple(s for s in default_stages() if s.name != "sync")

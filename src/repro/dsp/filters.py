@@ -10,7 +10,7 @@ redesign it on every call.  :func:`butter_sos` caches the section
 matrices (read-only, like ``get_window``/``mel_filterbank``), so
 repeated filtering pays only the ``sosfiltfilt`` cost.
 
-The ``*_batch`` variants filter a ``(batch, time)`` stack of
+:func:`butter_lowpass` also filters a ``(rows, time)`` stack of
 equal-length signals along the last axis.  scipy applies the identical
 per-row arithmetic, so every row is bitwise equal to filtering it alone
 — the contract the batched cross-domain sensing path builds on.
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
+from repro.utils.validation import ensure_1d, ensure_positive, ensure_rows
 
 
 def _validate_cutoff(cutoff_hz: float, sample_rate: float, name: str) -> float:
@@ -98,25 +98,12 @@ def butter_lowpass(
     cutoff_hz: float,
     order: int = 4,
 ) -> np.ndarray:
-    """Zero-phase Butterworth low-pass filter."""
-    samples = ensure_1d(signal)
-    cutoff_hz = _validate_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
-    sos = butter_sos(order, cutoff_hz, "lowpass", sample_rate)
-    return _sosfiltfilt_safe(sos, samples)
+    """Zero-phase Butterworth low-pass along the last axis.
 
-
-def butter_lowpass_batch(
-    signals: np.ndarray,
-    sample_rate: float,
-    cutoff_hz: float,
-    order: int = 4,
-) -> np.ndarray:
-    """Zero-phase low-pass over a ``(batch, time)`` stack of signals.
-
-    Row ``i`` of the result is bitwise identical to
-    ``butter_lowpass(signals[i], ...)``.
+    ``signal`` is one signal or a ``(rows, time)`` stack; row ``i`` of a
+    stack is bitwise identical to filtering ``signal[i]`` alone.
     """
-    samples = ensure_2d(signals, "signals")
+    samples = ensure_rows(signal)
     cutoff_hz = _validate_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
     sos = butter_sos(order, cutoff_hz, "lowpass", sample_rate)
     return _sosfiltfilt_safe(sos, samples)
@@ -163,9 +150,11 @@ def _sosfiltfilt_safe(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Apply sosfiltfilt, falling back to sosfilt for very short signals.
 
     ``sosfiltfilt`` needs a minimum pad length; short vibration snippets
-    (a handful of accelerometer samples) would otherwise raise.
+    (a handful of accelerometer samples) would otherwise raise.  The
+    test is on the row length, so a short row takes the same path alone
+    as in a stack.
     """
     pad_needed = 3 * (2 * sos.shape[0] + 1)
-    if samples.size <= pad_needed:
+    if samples.shape[-1] <= pad_needed:
         return sp_signal.sosfilt(sos, samples)
     return sp_signal.sosfiltfilt(sos, samples)

@@ -37,8 +37,9 @@ class StageEvent:
     stage:
         Stage name (``sync`` / ``segment`` / ... for pipeline stages,
         ``runtime.start`` / ``runtime.map`` for executor-ladder
-        transitions, ``segment_batch`` for the shared vectorized
-        forward).
+        transitions, ``segment_batch`` / ``sense_batch`` for the
+        pipeline's shared passes, ``execute_batch`` for a serving
+        worker's whole-batch fallback).
     wall_s:
         Wall-clock seconds attributed to this stage (for batched work,
         including the emitting request's amortized share).

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dsp.filters import butter_lowpass, butter_lowpass_batch
-from repro.dsp.resample import alias_decimate, alias_decimate_batch
+from repro.dsp.filters import butter_lowpass
+from repro.dsp.resample import alias_decimate
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
@@ -117,58 +117,9 @@ class Accelerometer:
         """
         field = ensure_1d(vibration_field, "vibration_field")
         drive = ensure_1d(drive_audio, "drive_audio")
-        ensure_positive(field_rate, "field_rate")
-        generator = as_generator(rng)
-        spec = self.spec
-
-        # Phenomenon 2: envelope-following near-DC response.  The sensor's
-        # DC sensitivity is sharply confined below ~5 Hz (Fig. 7), so a
-        # steep filter keeps the artifact out of the analysis band.
-        envelope = butter_lowpass(
-            np.abs(drive), field_rate, spec.dc_bandwidth_hz, order=6
-        )
-        analog = field + spec.dc_sensitivity * envelope
-
-        # Phenomenon 1: raw decimation — content above Nyquist folds in.
-        sampled = alias_decimate(analog, field_rate, spec.sample_rate)
-
-        # Phenomenon 3: low-frequency drive content injects amplifier
-        # noise.  The injection tracks the *instantaneous* low-frequency
-        # envelope (the amplifier misbehaves while the low-frequency
-        # sound is present, not on average), so the noise power follows
-        # the syllabic envelope of the replayed command.
-        low_content = butter_lowpass(
-            drive, field_rate, spec.low_freq_cutoff_hz, order=4
-        )
-        envelope_lf = butter_lowpass(
-            np.abs(low_content), field_rate, 8.0, order=2
-        )
-        envelope_lf = np.clip(envelope_lf, 0.0, None)
-        envelope_sampled = alias_decimate(
-            envelope_lf, field_rate, spec.sample_rate
-        )
-        # |lowpassed(|x|)| underestimates the RMS envelope by the
-        # rectified-Gaussian factor sqrt(pi / 2).  The injected noise
-        # grows *sublinearly* with drive level (the amplifier's noise
-        # mechanisms saturate), so louder low-frequency sounds enjoy a
-        # relatively better signal-to-injected-noise ratio.
-        envelope_rms = np.sqrt(np.pi / 2.0) * envelope_sampled
-        reference = spec.noise_envelope_reference
-        scaled = (
-            reference
-            * (envelope_rms / reference) ** spec.noise_envelope_exponent
-        )
-        noise_rms_t = spec.base_noise_rms + (
-            spec.low_freq_noise_coeff * scaled
-        )
-        sampled = sampled + noise_rms_t * generator.standard_normal(
-            sampled.size
-        )
-
-        # Phenomenon 4: quantization.
-        if spec.lsb > 0:
-            sampled = np.round(sampled / spec.lsb) * spec.lsb
-        return sampled
+        return self.sense_batch(
+            field[np.newaxis], field_rate, drive[np.newaxis], rngs=[rng]
+        )[0]
 
     def sense_batch(
         self,
@@ -179,13 +130,11 @@ class Accelerometer:
     ) -> np.ndarray:
         """:meth:`sense` over a ``(batch, time)`` stack of fields.
 
-        ``rngs[i]`` supplies the noise stream for row ``i`` — the same
-        stream a sequential ``sense(vibration_fields[i], ...,
-        rng=rngs[i])`` call would consume.  All deterministic stages
-        (envelope filters, decimation, noise-level synthesis,
-        quantization) run vectorized along the last axis; only the
-        Gaussian noise draws happen per item, preserving bitwise parity
-        with the sequential path row by row.
+        ``rngs[i]`` supplies the noise stream for row ``i``.  All
+        deterministic stages (envelope filters, decimation, noise-level
+        synthesis, quantization) run vectorized along the last axis;
+        only the Gaussian noise draws happen per row, so each row is
+        bitwise what sensing it alone gives.
         """
         fields = ensure_2d(vibration_fields, "vibration_fields")
         drives = ensure_2d(drive_audios, "drive_audios")
@@ -205,27 +154,37 @@ class Accelerometer:
             )
         spec = self.spec
 
-        # Phenomenon 2: envelope-following near-DC response.
-        envelope = butter_lowpass_batch(
+        # Phenomenon 2: envelope-following near-DC response.  The sensor's
+        # DC sensitivity is sharply confined below ~5 Hz (Fig. 7), so a
+        # steep filter keeps the artifact out of the analysis band.
+        envelope = butter_lowpass(
             np.abs(drives), field_rate, spec.dc_bandwidth_hz, order=6
         )
         analog = fields + spec.dc_sensitivity * envelope
 
-        # Phenomenon 1: raw decimation with aliasing.
-        sampled = alias_decimate_batch(analog, field_rate, spec.sample_rate)
+        # Phenomenon 1: raw decimation — content above Nyquist folds in.
+        sampled = alias_decimate(analog, field_rate, spec.sample_rate)
 
         # Phenomenon 3: low-frequency drive content injects amplifier
-        # noise tracking the instantaneous low-frequency envelope.
-        low_content = butter_lowpass_batch(
+        # noise.  The injection tracks the *instantaneous* low-frequency
+        # envelope (the amplifier misbehaves while the low-frequency
+        # sound is present, not on average), so the noise power follows
+        # the syllabic envelope of the replayed command.
+        low_content = butter_lowpass(
             drives, field_rate, spec.low_freq_cutoff_hz, order=4
         )
-        envelope_lf = butter_lowpass_batch(
+        envelope_lf = butter_lowpass(
             np.abs(low_content), field_rate, 8.0, order=2
         )
         envelope_lf = np.clip(envelope_lf, 0.0, None)
-        envelope_sampled = alias_decimate_batch(
+        envelope_sampled = alias_decimate(
             envelope_lf, field_rate, spec.sample_rate
         )
+        # |lowpassed(|x|)| underestimates the RMS envelope by the
+        # rectified-Gaussian factor sqrt(pi / 2).  The injected noise
+        # grows *sublinearly* with drive level (the amplifier's noise
+        # mechanisms saturate), so louder low-frequency sounds enjoy a
+        # relatively better signal-to-injected-noise ratio.
         envelope_rms = np.sqrt(np.pi / 2.0) * envelope_sampled
         reference = spec.noise_envelope_reference
         scaled = (

@@ -129,19 +129,12 @@ class CrossDomainSensor:
         numpy.ndarray
             Vibration signal at :attr:`vibration_rate`.
         """
-        samples = ensure_1d(audio, "audio")
-        ensure_positive(audio_rate, "audio_rate")
-        generator = as_generator(rng)
-
-        vibration = self.channel.apply(samples, audio_rate, rng=generator)
-        if include_body_motion and self.body_motion_intensity > 0:
-            vibration = vibration + body_motion_interference(
-                vibration.size,
-                self.channel.output_rate(audio_rate),
-                intensity=self.body_motion_intensity,
-                rng=child_rng(generator, "body"),
-            )
-        return vibration
+        return self.convert_batch(
+            [audio],
+            audio_rate,
+            rngs=[rng],
+            include_body_motion=include_body_motion,
+        )[0]
 
     def convert_batch(
         self,
@@ -152,12 +145,11 @@ class CrossDomainSensor:
     ) -> List[np.ndarray]:
         """Replay a batch of recordings; vectorize the whole §IV-A chain.
 
-        ``rngs[i]`` is the seed/generator that a sequential
-        ``convert(audios[i], audio_rate, rng=rngs[i], ...)`` call would
-        receive; the per-item child streams (one per stochastic channel
-        stage, then ``body``) are derived in exactly the sequential
-        order, so item ``i`` of the result is **bitwise identical** to
-        the sequential path.
+        ``rngs[i]`` is the seed/generator of item ``i``; its child
+        streams (one per stochastic channel stage, then ``body``) are
+        derived in that order, so item ``i`` of the result is **bitwise
+        identical** whatever batch it rides in — :meth:`convert` is
+        this method on a batch of one.
 
         The channel groups recordings of equal length into dense
         ``(batch, time)`` stacks and pushes them through each stage's

@@ -100,14 +100,10 @@ class ServiceMetrics:
     stage_latency: Mapping[str, LatencySummary] = field(
         default_factory=dict
     )
-    #: Vectorized model calls: micro-batches served by one shared
-    #: masked BLSTM forward (`DefensePipeline.analyze_batch`), and the
-    #: mean number of requests amortized per such forward.
-    n_batched_forwards: int = 0
-    requests_per_forward: float = 0.0
     #: ``{"stage:fallback": count}`` over the workers' StageEvent
-    #: streams — deadline skips, full-recording degrades, and runtime
-    #: ladder demotions, all through one protocol.
+    #: streams — deadline skips, full-recording degrades, non-finite
+    #: scores, sequential batch fallbacks, and runtime ladder
+    #: demotions, all through one protocol.
     stage_fallbacks: Mapping[str, int] = field(default_factory=dict)
     #: Adaptive batch-size controller snapshot (``None`` when the
     #: service runs with a fixed batch size).
@@ -135,8 +131,6 @@ class MetricsCollector:
         self.n_failed = 0
         self.n_batches = 0
         self.n_batched_requests = 0
-        self.n_batched_forwards = 0
-        self.n_batched_forward_requests = 0
         self._total_latencies: List[float] = []
         self._queue_waits: List[float] = []
         self._stage_latencies: Dict[str, List[float]] = {}
@@ -162,12 +156,6 @@ class MetricsCollector:
         with self._lock:
             self.n_batches += 1
             self.n_batched_requests += size
-
-    def record_batched_forward(self, size: int) -> None:
-        """One vectorized model forward that served ``size`` requests."""
-        with self._lock:
-            self.n_batched_forwards += 1
-            self.n_batched_forward_requests += size
 
     def record_stage_events(
         self, events: Iterable[StageEvent]
@@ -245,13 +233,6 @@ class MetricsCollector:
                     for stage, samples in self._stage_latencies.items()
                     if samples
                 },
-                n_batched_forwards=self.n_batched_forwards,
-                requests_per_forward=(
-                    self.n_batched_forward_requests
-                    / self.n_batched_forwards
-                    if self.n_batched_forwards
-                    else 0.0
-                ),
                 stage_fallbacks=dict(self._stage_fallbacks),
                 batch_controller=batch_controller,
             )

@@ -470,9 +470,6 @@ class VerificationService:
                 self._fail_batch(entries, error)
                 return
             results = pool_future.result()
-            n_batched = sum(1 for result in results if result.batched)
-            if n_batched:
-                self.metrics_collector.record_batched_forward(n_batched)
             for result in results:
                 if result.events:
                     self.metrics_collector.record_stage_events(

@@ -236,13 +236,9 @@ class PipelineSpec:
 class WorkerResult:
     """Picklable per-request outcome returned by a worker.
 
-    ``batched`` records whether the request was served by the
-    vectorized fast path (one masked BLSTM forward shared by the whole
-    micro-batch) rather than a per-request pipeline run; the service
-    aggregates it into the ``batched_forward`` metrics.  ``events``
-    carries the request's :class:`StageEvent` stream (stage timings,
-    fallback annotations, error classes), which the service feeds into
-    its metrics sink.
+    ``events`` carries the request's :class:`StageEvent` stream (stage
+    timings, fallback annotations, error classes), which the service
+    feeds into its metrics sink.
     """
 
     request_id: str
@@ -251,7 +247,6 @@ class WorkerResult:
     stage_timings_s: Dict[str, float] = field(default_factory=dict)
     exec_s: float = 0.0
     error: Optional[str] = None
-    batched: bool = False
     events: List[StageEvent] = field(default_factory=list)
 
 
@@ -299,30 +294,50 @@ def execute_batch(
     """Run one micro-batch on this worker's warm pipeline.
 
     ``payload`` is the pipeline spec, the batch key, and
-    ``(request, age_at_dispatch_s)`` pairs.  Multi-request batches take
-    the vectorized fast path: one
-    :meth:`~repro.core.pipeline.DefensePipeline.analyze_batch` call
-    shares a single masked BLSTM segmentation forward across the whole
-    batch, with verdicts bitwise identical to per-request runs.  A
-    request the batched path cannot serve is retried sequentially on
-    its own — and if the batched entry point itself fails, the whole
-    batch falls back to the sequential loop — so one bad request never
-    poisons batch-mates.
+    ``(request, age_at_dispatch_s)`` pairs.  Every batch, one request or
+    many, is one
+    :meth:`~repro.core.pipeline.DefensePipeline.analyze_batch` call,
+    whose verdicts are bitwise identical to per-request runs.  A
+    request the batch could not serve is retried on its own, and if
+    ``analyze_batch`` itself fails the whole batch falls back to the
+    sequential loop (reported as one ``execute_batch:sequential``
+    fallback event), so one bad request never poisons batch-mates.
 
     Deadlines: a request whose deadline already expired is not dropped
     — it degrades to the full-recording fallback (segmentation
-    skipped).  On the vectorized path all deadline checks happen at
-    batch start (members no longer queue behind each other); on the
-    sequential path ages keep accruing while earlier members execute.
+    skipped).  All deadline checks happen at batch start; only on the
+    sequential fallback do ages keep accruing while earlier members
+    execute.
     """
     spec, key, items = payload
     pipeline = _worker_pipeline(spec, key)
     batch_start = time.perf_counter()
-    if len(items) > 1:
-        results = _execute_vectorized(pipeline, items, batch_start)
-        if results is not None:
-            return results
-    return _execute_sequential(pipeline, items, batch_start)
+    results = _execute_vectorized(pipeline, items, batch_start)
+    if results is None:
+        results = _execute_sequential(pipeline, items, batch_start)
+        _attach_batch_events(
+            results,
+            [
+                StageEvent(
+                    stage="execute_batch",
+                    wall_s=time.perf_counter() - batch_start,
+                    batch_size=len(items),
+                    fallback="sequential",
+                    scope="batch",
+                )
+            ],
+        )
+    return results
+
+
+def _attach_batch_events(
+    results: List[WorkerResult], events: List[StageEvent]
+) -> None:
+    """Batch-scope events belong to the batch, not any one request;
+    attach them once, to the first result, so the service's sink counts
+    each exactly once."""
+    if results:
+        results[0].events.extend(events)
 
 
 def _deadline_expired(
@@ -392,8 +407,8 @@ def _execute_vectorized(
 ) -> Optional[List[WorkerResult]]:
     """Serve the whole micro-batch through one ``analyze_batch`` call.
 
-    Returns ``None`` when the batched entry point itself fails, which
-    tells :func:`execute_batch` to fall back to the sequential loop.
+    Returns ``None`` when ``analyze_batch`` itself fails, which tells
+    :func:`execute_batch` to fall back to the sequential loop.
     Requests that fail *inside* the batch (their outcome carries an
     error) are retried one-by-one so a poisoned input degrades only
     itself.
@@ -424,7 +439,7 @@ def _execute_vectorized(
             error,
         )
         return None
-    exec_share_s = (time.perf_counter() - batch_start) / len(items)
+    exec_share_s = (time.perf_counter() - batch_start) / max(len(items), 1)
     results: List[WorkerResult] = []
     for (request, _), degraded, outcome in zip(
         items, degraded_flags, outcomes
@@ -439,16 +454,12 @@ def _execute_vectorized(
                 degraded=degraded,
                 stage_timings_s=outcome.timings,
                 exec_s=exec_share_s,
-                batched=True,
                 events=list(outcome.events),
             )
         )
-    # Batch-scoped events (the shared segmentation forward) belong to
-    # the batch, not any one request; attach them once so the service's
-    # sink counts each forward exactly once.
-    batch_events = [e for e in captured.events if e.scope == "batch"]
-    if batch_events and results:
-        results[0].events.extend(batch_events)
+    _attach_batch_events(
+        results, [e for e in captured.events if e.scope == "batch"]
+    )
     return results
 
 

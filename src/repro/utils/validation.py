@@ -32,6 +32,19 @@ def ensure_2d(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(array)
 
 
+def ensure_rows(signal: np.ndarray, name: str = "signal") -> np.ndarray:
+    """Return one signal or a ``(rows, time)`` stack as contiguous
+    float64, or raise."""
+    array = np.asarray(signal, dtype=np.float64)
+    if array.ndim == 2:
+        return ensure_2d(array, name)
+    if array.ndim != 1:
+        raise SignalError(
+            f"{name} must be 1-D or (rows, time), got shape {array.shape}"
+        )
+    return ensure_1d(array, name)
+
+
 def ensure_positive(value: float, name: str) -> float:
     """Validate that a scalar configuration value is strictly positive."""
     value = float(value)

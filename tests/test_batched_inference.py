@@ -1,5 +1,5 @@
 """Batched inference: parity contracts across nn, segmenter, pipeline,
-and serving layers, plus the batched-forward metrics."""
+and serving layers, plus the single serving code path."""
 
 import numpy as np
 import pytest
@@ -283,8 +283,6 @@ class TestExecuteBatchParity:
         spec = PipelineSpec(use_segmenter=False)
         requests = [make_request(seed) for seed in (1, 2, 3, 4)]
         batched, singles = self._verdicts(spec, requests)
-        assert all(result.batched for result in batched)
-        assert not any(result.batched for result in singles)
         for together, alone in zip(batched, singles):
             assert together.error is None and alone.error is None
             assert together.verdict == alone.verdict
@@ -296,7 +294,6 @@ class TestExecuteBatchParity:
         )
         requests = [make_request(seed) for seed in (5, 6, 7)]
         batched, singles = self._verdicts(spec, requests)
-        assert all(result.batched for result in batched)
         for together, alone in zip(batched, singles):
             assert together.verdict == alone.verdict
 
@@ -325,24 +322,50 @@ class TestExecuteBatchParity:
             assert results[index].verdict == alone.verdict
 
 
-class TestBatchedForwardMetrics:
-    def test_collector_counts_forwards(self):
-        collector = MetricsCollector()
-        collector.record_batched_forward(4)
-        collector.record_batched_forward(2)
-        snapshot = collector.snapshot()
-        assert snapshot.n_batched_forwards == 2
-        assert snapshot.requests_per_forward == pytest.approx(3.0)
+class TestSingleCodePath:
+    """Every serving batch, one request or many, is one
+    ``analyze_batch`` call; the sequential loop is only its fallback."""
 
-    def test_defaults_to_zero(self):
-        snapshot = MetricsCollector().snapshot()
-        assert snapshot.n_batched_forwards == 0
-        assert snapshot.requests_per_forward == 0.0
-        assert "vectorized" not in format_service_metrics(snapshot)
+    KEY = (RATE, False)
 
-    def test_report_includes_vectorized_line(self):
+    def test_single_request_emits_no_batch_events(self):
+        spec = PipelineSpec(use_segmenter=False)
+        (result,) = execute_batch(
+            (spec, self.KEY, [(make_request(21), 0.0)])
+        )
+        assert result.error is None
+        assert [e.scope for e in result.events] == ["pipeline"] * len(
+            PIPELINE_STAGES
+        )
+
+    def test_failed_batch_falls_back_to_sequential(self, monkeypatch):
+        spec = PipelineSpec(use_segmenter=False)
+        requests = [make_request(seed) for seed in (22, 23, 24)]
+        expected = [
+            execute_batch((spec, self.KEY, [(request, 0.0)]))[0].verdict
+            for request in requests
+        ]
+        original = DefensePipeline.analyze_batch
+        calls = []
+
+        def fail_once(self, items, dtype=None):
+            calls.append(len(items))
+            if len(calls) == 1:
+                raise RuntimeError("injected batch failure")
+            return original(self, items, dtype=dtype)
+
+        monkeypatch.setattr(DefensePipeline, "analyze_batch", fail_once)
+        results = execute_batch(
+            (spec, self.KEY, [(request, 0.0) for request in requests])
+        )
+        assert calls == [3, 1, 1, 1]
+        assert [r.verdict for r in results] == expected
         collector = MetricsCollector()
-        collector.record_batched_forward(8)
-        report = format_service_metrics(collector.snapshot())
-        assert "vectorized: 1 batched forwards" in report
-        assert "8.00 requests/forward" in report
+        for result in results:
+            assert result.error is None
+            collector.record_stage_events(result.events)
+        fallbacks = collector.snapshot().stage_fallbacks
+        assert fallbacks == {"execute_batch:sequential": 1}
+        assert "execute_batch:sequential x1" in format_service_metrics(
+            collector.snapshot()
+        )

@@ -34,6 +34,7 @@ from repro.channels import (
     NonlinearDemodulationStage,
     PropagationChannel,
     SolidConductionStage,
+    StageBase,
     UltrasoundCarrierStage,
 )
 from repro.errors import ConfigurationError
@@ -194,6 +195,17 @@ class TestStageProtocol:
     def test_non_stage_rejected(self):
         with pytest.raises(ConfigurationError):
             PropagationChannel(stages=(object(),))
+
+    def test_stage_without_a_transform_raises(self):
+        # Each form is derived from the other; a stage that overrides
+        # neither must fail clearly instead of recursing.
+        class Bare(StageBase):
+            pass
+
+        with pytest.raises(NotImplementedError, match="Bare must override"):
+            Bare().apply(np.ones(8), RATE)
+        with pytest.raises(NotImplementedError, match="Bare must override"):
+            Bare().apply_batch(np.ones((2, 8)), RATE)
 
 
 class TestOutputRateFolding:

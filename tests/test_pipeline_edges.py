@@ -22,6 +22,27 @@ def test_empty_recordings_rejected():
         pipeline.analyze(np.zeros(0), np.zeros(0), rng=0)
 
 
+def test_non_finite_input_fails_closed_with_fallback_event():
+    """One inf sample makes the score non-finite: the calibrated
+    detector reports an attack and the detect event says why."""
+    from repro.core.detector import DetectorConfig
+    from repro.runtime import capture_stage_events
+
+    pipeline = DefensePipeline(
+        segmenter=None,
+        config=DefenseConfig(detector=DetectorConfig(threshold=0.2)),
+    )
+    va, wearable = _pair(7)
+    va[4_000] = np.inf
+    with capture_stage_events() as captured:
+        verdict = pipeline.analyze(va, wearable, rng=8)
+    assert not np.isfinite(verdict.score)
+    assert verdict.is_attack is True
+    detect = [e for e in captured.events if e.stage == "detect"]
+    assert len(detect) == 1
+    assert detect[0].fallback == "non-finite"
+
+
 def test_fallback_when_segments_too_short(corpus):
     """If segmentation yields almost nothing, the pipeline falls back to
     the full recording instead of failing."""

@@ -11,8 +11,8 @@ from repro.core.pipeline import (
     DefenseConfig,
     DefensePipeline,
 )
-from repro.dsp.filters import butter_lowpass, butter_lowpass_batch
-from repro.dsp.resample import alias_decimate, alias_decimate_batch
+from repro.dsp.filters import butter_lowpass
+from repro.dsp.resample import alias_decimate
 from repro.sensing.accelerometer import Accelerometer, AccelerometerSpec
 from repro.sensing.conduction import ConductionPath
 from repro.sensing.cross_domain import CrossDomainSensor
@@ -34,14 +34,14 @@ class TestDspBatchParity:
 
     def test_butter_lowpass_batch_bitwise(self):
         stack = np.random.default_rng(1).normal(size=(4, 4_000))
-        batched = butter_lowpass_batch(stack, AUDIO_RATE, 100.0)
+        batched = butter_lowpass(stack, AUDIO_RATE, 100.0)
         for row in range(stack.shape[0]):
             single = butter_lowpass(stack[row], AUDIO_RATE, 100.0)
             np.testing.assert_array_equal(batched[row], single)
 
     def test_alias_decimate_batch_bitwise(self):
         stack = np.random.default_rng(2).normal(size=(3, 4_000))
-        batched = alias_decimate_batch(stack, AUDIO_RATE, 200.0)
+        batched = alias_decimate(stack, AUDIO_RATE, 200.0)
         assert batched.flags["C_CONTIGUOUS"]
         for row in range(stack.shape[0]):
             single = alias_decimate(stack[row], AUDIO_RATE, 200.0)
@@ -98,6 +98,17 @@ class TestConvertBatchParity:
         assert len(batched) == len(audios)
         for audio, seed, vibration in zip(audios, seeds, batched):
             single = sensor.convert(audio, AUDIO_RATE, rng=seed)
+            np.testing.assert_array_equal(vibration, single)
+
+    def test_short_rows_match_sequential(self, sensor):
+        # 20 samples is below the order-6 envelope filter's pad length
+        # (21): each row must take the short-signal path in a stack too.
+        rng = np.random.default_rng(17)
+        audios = [rng.normal(0.0, 0.1, 20) for _ in range(2)]
+        batched = sensor.convert_batch(audios, AUDIO_RATE, rngs=[0, 1])
+        for audio, seed, vibration in zip(audios, (0, 1), batched):
+            single = sensor.convert(audio, AUDIO_RATE, rng=seed)
+            assert single.size == 1
             np.testing.assert_array_equal(vibration, single)
 
     def test_body_motion_path_bitwise(self, sensor):
