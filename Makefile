@@ -80,16 +80,16 @@ segmenter-smoke:
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
 		--workers 2 --segmenter rd
 
-# Fleet smoke: a 2-shard fleet serves heavy-tailed Zipf-user traffic
-# end to end.  Both runs exit non-zero if any routed request never
-# reached a terminal outcome (the zero-dropped-on-shutdown
-# assertion); the second drives the real warm verification workers
-# through the front door.
+# Fleet smoke: a 2-shard fleet of real warm verification services
+# serves heavy-tailed Zipf-user traffic end to end, at a rate the
+# shards keep up with.  Both runs exit non-zero if any routed request
+# never reached a terminal outcome (the zero-dropped-on-shutdown
+# assertion); the second warms the rate-distortion segmenter.
 fleet-smoke:
-	$(PYTHON) -m repro fleet loadgen --engine sim --shards 2 \
-		--requests 120 --users 100000 --rate 400 \
+	$(PYTHON) -m repro fleet loadgen --segmenter none --shards 2 \
+		--requests 60 --users 100000 --rate 20 \
 		--queue-capacity 64 --seed 0
-	$(PYTHON) -m repro fleet serve --engine service --segmenter none \
+	$(PYTHON) -m repro fleet serve --segmenter rd \
 		--shards 2 --requests 8 --users 1000 --rate 50 --seed 0
 
 # Red-team smoke: unit tests pin the attack space, oracle budget

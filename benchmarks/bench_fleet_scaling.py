@@ -1,24 +1,27 @@
-"""Fleet horizontal scaling: served throughput vs shard count.
+"""Fleet horizontal scaling on real work: served throughput vs shards.
 
 Not a paper figure — this measures the serving fleet itself.  The same
 heavy-tailed open-loop workload (Zipf-skewed traffic over a 10^5-user
-population, offered above the 4-shard capacity) is replayed against
-fleets of 1, 2, and 4 shards built on the calibrated-delay simulated
-engine, so the numbers isolate the fleet tier — ring routing, the
-front door's asyncio plumbing, per-shard admission queues — from DSP
-cost.  Because every configuration is overloaded, served throughput
-approximates fleet capacity and should scale near-linearly with the
-shard count; the excess load is rejected at the admission queue, which
-also bounds queue wait and keeps the served p95 under the SLO target.
+population, offered above one shard's capacity) is replayed against
+fleets of 1, 2, and 4 shards.  Every shard is a real warm
+:class:`~repro.serve.VerificationService` (one worker, rate-distortion
+segmenter, ``reject`` backpressure over an 8-slot queue) serving the
+canonical recording pool (``build_recording_pool(seed=0)``), so the
+table reports what the fleet tier delivers on the DSP it ships with.
+Every request is protected priority, which keeps the SLO valve out of
+the measurement: excess load is refused only at each shard's admission
+queue, and served throughput is the fleet's capacity on this machine.
 
-Pinned claims: >= 2.5x served throughput from 1 to 4 shards, served
-p95 under the 150 ms SLO at every shard count, and zero requests left
-unresolved.
+Shards share the machine's cores, so the speedup column is bounded by
+the core count, not by the fleet tier; the table header records it.
+Pinned claims: zero requests left unresolved, and every issued request
+is served, rejected, shed or failed exactly once.  No scaling floor is
+asserted: the measured table is the result.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
 
 from benchmarks.conftest import emit, run_once
 from repro.eval.reporting import format_table
@@ -26,35 +29,32 @@ from repro.fleet import (
     FleetConfig,
     FleetFrontDoor,
     FleetLoadgenConfig,
-    SimulatedEngineConfig,
     SloConfig,
     run_fleet_loadgen,
-    simulated_shard_factory,
+    service_shard_factory,
 )
-from repro.serve.loadgen import RecordingPool
+from repro.serve import PipelineSpec, ServiceConfig
+from repro.serve.loadgen import build_recording_pool
 
 SHARD_COUNTS = (1, 2, 4)
-SERVICE_TIME_S = 0.004  # 250 req/s per single-worker shard
+SPEC = PipelineSpec(segmenter_backend="rd")
+SERVICE = ServiceConfig(
+    n_workers=1, queue_capacity=8, backpressure="reject"
+)
 SLO = SloConfig(target_p95_s=0.15)
 WORKLOAD = FleetLoadgenConfig(
-    n_requests=2_400,
+    n_requests=300,
     users=100_000,
     zipf_s=1.1,
-    rate_rps=1_200.0,  # ~1.2x the 4-shard capacity: always overloaded
+    rate_rps=40.0,  # ~2x one shard's capacity on 2 cores
     pareto_alpha=2.5,
+    priority_fraction=1.0,
     seed=9200,
 )
 
 
 def _fleet(n_shards):
-    factory = simulated_shard_factory(
-        engine_config=SimulatedEngineConfig(
-            n_workers=1,
-            service_time_s=SERVICE_TIME_S,
-            queue_capacity=8,
-        ),
-        slo=SLO,
-    )
+    factory = service_shard_factory(SPEC, SERVICE, slo=SLO)
     return FleetFrontDoor(
         factory,
         FleetConfig(n_shards=n_shards, slo=SLO, autoscale_interval_s=0.0),
@@ -62,10 +62,7 @@ def _fleet(n_shards):
 
 
 def _run_all():
-    # Audio content is irrelevant to the simulated engine; a tiny pool
-    # keeps request construction off the measured path.
-    audio = np.zeros(160)
-    pool = RecordingPool(pairs=[(audio, audio, False), (audio, audio, True)])
+    pool = build_recording_pool(seed=0)
     results = {}
     for n_shards in SHARD_COUNTS:
         with _fleet(n_shards) as fleet:
@@ -82,35 +79,43 @@ def test_fleet_scaling(benchmark):
     for n_shards in SHARD_COUNTS:
         report, metrics = results[n_shards]
         assert metrics.n_unresolved == 0
-        p95_s = report.latency_percentile(95)
-        # The admission queue bounds waiting, so even the overloaded
-        # fleet keeps the served tail under the SLO target.
-        assert p95_s < SLO.target_p95_s
+        assert report.n_issued == (
+            report.n_served
+            + report.n_rejected
+            + report.n_shed
+            + report.n_failed
+        )
         rows.append(
             (
                 n_shards,
                 report.n_served,
                 report.n_rejected,
-                f"{report.throughput_rps:.0f}",
-                f"{p95_s * 1e3:.1f}",
+                report.n_shed,
+                report.n_failed,
+                f"{report.throughput_rps:.1f}",
+                f"{report.latency_percentile(50) * 1e3:.0f}",
+                f"{report.latency_percentile(95) * 1e3:.0f}",
                 f"{report.throughput_rps / baseline_rps:.2f}x",
             )
         )
 
-    speedup = results[4][0].throughput_rps / baseline_rps
     body = format_table(
-        ["shards", "served", "rejected", "served rps", "p95 ms", "speedup"],
+        [
+            "shards", "served", "rejected", "shed", "failed",
+            "served rps", "p50 ms", "p95 ms", "vs 1 shard",
+        ],
         rows,
         title=(
-            f"fleet scaling — {WORKLOAD.n_requests} requests, "
-            f"{WORKLOAD.users} Zipf(s={WORKLOAD.zipf_s}) users, "
-            f"offered {WORKLOAD.rate_rps:.0f} rps, "
-            f"SLO p95 {SLO.target_p95_s * 1e3:.0f} ms"
+            f"fleet scaling on real services — {WORKLOAD.n_requests} "
+            f"requests, {WORKLOAD.users} Zipf(s={WORKLOAD.zipf_s}) "
+            f"users, offered {WORKLOAD.rate_rps:.0f} rps; 1 worker/shard, "
+            f"rd segmenter, queue {SERVICE.queue_capacity} (reject), "
+            f"{os.cpu_count()} cores"
         ),
     )
+    speedup = results[SHARD_COUNTS[-1]][0].throughput_rps / baseline_rps
     body += (
-        f"\n\n1 -> 4 shards served-throughput speedup: {speedup:.2f}x "
-        f"(floor 2.5x)"
+        f"\n\n1 -> {SHARD_COUNTS[-1]} shards served-throughput ratio: "
+        f"{speedup:.2f}x"
     )
     emit("fleet_scaling", body)
-    assert speedup >= 2.5

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.dsp.spectrum import apply_spectral_gain
 from repro.errors import ConfigurationError
-from repro.utils.validation import ensure_1d, ensure_2d
+from repro.utils.validation import ensure_rows
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,14 @@ class Loudspeaker:
     def play(self, signal: np.ndarray, sample_rate: float) -> np.ndarray:
         """Emit ``signal`` through the driver.
 
+        ``signal`` is one signal or a ``(rows, time)`` stack; row ``i``
+        of a stack is bitwise identical to playing ``signal[i]`` alone.
         Applies the band-pass response and a weak memoryless quadratic
-        nonlinearity (even-harmonic distortion).
+        nonlinearity (even-harmonic distortion) normalized by each
+        row's own peak.
         """
-        return self._emit(ensure_1d(signal), sample_rate)
-
-    def play_batch(
-        self, signals: np.ndarray, sample_rate: float
-    ) -> np.ndarray:
-        """:meth:`play` over a ``(batch, time)`` stack of signals.
-
-        Row ``i`` of the result is bitwise identical to
-        ``play(signals[i], sample_rate)``: the FFT shaping runs along the
-        last axis and the distortion normalizes by each row's own peak.
-        """
-        return self._emit(ensure_2d(signals, "signals"), sample_rate)
-
-    def _emit(self, samples: np.ndarray, sample_rate: float) -> np.ndarray:
         shaped = apply_spectral_gain(
-            samples, sample_rate, self.frequency_response
+            ensure_rows(signal), sample_rate, self.frequency_response
         )
         if self.spec.harmonic_distortion > 0:
             peaks = np.max(np.abs(shaped), axis=-1, keepdims=True) + 1e-12

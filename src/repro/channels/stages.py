@@ -157,7 +157,7 @@ class LoudspeakerStage(StageBase):
     spec: LoudspeakerSpec
 
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
-        return Loudspeaker(self.spec).play_batch(signals, rate)
+        return Loudspeaker(self.spec).play(signals, rate)
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,8 @@ from repro.fleet.profiles import (
 )
 from repro.fleet.shard import (
     ScaleEvent,
-    ServiceEngine,
     ServiceShard,
-    ShardEngine,
-    SimulatedEngineConfig,
-    SimulatedShardEngine,
     service_shard_factory,
-    simulated_shard_factory,
 )
 from repro.fleet.slo import (
     Autoscaler,
@@ -70,14 +65,10 @@ __all__ = [
     "ProfileRecipe",
     "RollingLatencyWindow",
     "ScaleEvent",
-    "ServiceEngine",
     "ServiceShard",
-    "ShardEngine",
     "ShardLoad",
     "ShardStatus",
     "SheddingPolicy",
-    "SimulatedEngineConfig",
-    "SimulatedShardEngine",
     "SloConfig",
     "UserProfile",
     "derive_user_profile",
@@ -86,5 +77,4 @@ __all__ = [
     "registry_profile_loader",
     "run_fleet_loadgen",
     "service_shard_factory",
-    "simulated_shard_factory",
 ]

@@ -11,9 +11,7 @@ Subcommands
     non-zero if any routed request failed to reach a terminal outcome
     (the ``make fleet-smoke`` zero-dropped-on-shutdown assertion).
 
-Both build the fleet in-process.  ``--engine sim`` uses the
-calibrated-delay shard engine (scaling/SLO behaviour without the DSP
-cost); ``--engine service`` runs real warm verification services per
+Both build the fleet in-process, one warm verification service per
 shard.
 """
 
@@ -34,13 +32,6 @@ def add_fleet_parser(subparsers) -> None:
     common.add_argument(
         "--shards", type=int, default=2,
         help="service shards in the fleet",
-    )
-    common.add_argument(
-        "--engine", choices=["sim", "service"], default="sim",
-        help=(
-            "shard engine: sim (calibrated-delay capacity model) or "
-            "service (real warm verification workers)"
-        ),
     )
     common.add_argument(
         "--workers", type=int, default=1,
@@ -82,14 +73,8 @@ def add_fleet_parser(subparsers) -> None:
         help="per-shard admission-queue bound",
     )
     common.add_argument(
-        "--service-time-ms", type=float, default=6.0, metavar="MS",
-        help="sim engine: per-request service time",
-    )
-    common.add_argument(
         "--segmenter", choices=["none", "fast", "rd"], default="rd",
-        help=(
-            "service engine: segmenter backend workers warm up with"
-        ),
+        help="segmenter backend the shard workers warm up with",
     )
     common.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -133,12 +118,9 @@ def _build_front_door(args: argparse.Namespace):
     """Front door + shard factory from the parsed common flags."""
     from repro.fleet.frontdoor import FleetConfig, FleetFrontDoor
     from repro.fleet.profiles import registry_profile_loader
-    from repro.fleet.shard import (
-        SimulatedEngineConfig,
-        service_shard_factory,
-        simulated_shard_factory,
-    )
+    from repro.fleet.shard import service_shard_factory
     from repro.fleet.slo import Autoscaler, AutoscalerConfig, SloConfig
+    from repro.serve import PipelineSpec, ServiceConfig
     from repro.store.cli import resolve_store_dir
 
     slo = SloConfig(target_p95_s=args.slo_p95_ms / 1e3)
@@ -150,51 +132,36 @@ def _build_front_door(args: argparse.Namespace):
     def autoscaler_factory() -> Autoscaler:
         return Autoscaler(autoscaler_config, slo)
 
-    if args.engine == "sim":
-        factory = simulated_shard_factory(
-            engine_config=SimulatedEngineConfig(
-                n_workers=args.workers,
-                service_time_s=args.service_time_ms / 1e3,
-                queue_capacity=args.queue_capacity,
-            ),
-            slo=slo,
-            autoscaler_factory=autoscaler_factory,
-        )
+    store_dir = resolve_store_dir(args.store_dir)
+    if args.segmenter == "none":
+        spec = PipelineSpec(use_segmenter=False)
+    elif args.segmenter == "rd":
+        spec = PipelineSpec(segmenter_backend="rd")
     else:
-        from repro.serve import PipelineSpec, ServiceConfig
-
-        store_dir = resolve_store_dir(args.store_dir)
-        if args.segmenter == "none":
-            spec = PipelineSpec(use_segmenter=False)
-        elif args.segmenter == "rd":
-            spec = PipelineSpec(segmenter_backend="rd")
-        else:
-            spec = PipelineSpec(
-                segmenter_seed=args.seed,
-                n_speakers=2,
-                n_per_phoneme=3,
-                epochs=3,
-                store_dir=store_dir,
-            )
-        profile_loader = None
-        if store_dir is not None:
-            from repro.store import ModelRegistry
-
-            profile_loader = registry_profile_loader(
-                ModelRegistry(store_dir)
-            )
-        factory = service_shard_factory(
-            spec,
-            ServiceConfig(
-                n_workers=args.workers,
-                queue_capacity=args.queue_capacity,
-                backpressure="reject",
-                default_deadline_s=args.deadline,
-            ),
-            profile_loader=profile_loader,
-            slo=slo,
-            autoscaler_factory=autoscaler_factory,
+        spec = PipelineSpec(
+            segmenter_seed=args.seed,
+            n_speakers=2,
+            n_per_phoneme=3,
+            epochs=3,
+            store_dir=store_dir,
         )
+    profile_loader = None
+    if store_dir is not None:
+        from repro.store import ModelRegistry
+
+        profile_loader = registry_profile_loader(ModelRegistry(store_dir))
+    factory = service_shard_factory(
+        spec,
+        ServiceConfig(
+            n_workers=args.workers,
+            queue_capacity=args.queue_capacity,
+            backpressure="reject",
+            default_deadline_s=args.deadline,
+        ),
+        profile_loader=profile_loader,
+        slo=slo,
+        autoscaler_factory=autoscaler_factory,
+    )
     config = FleetConfig(
         n_shards=args.shards,
         failover=args.failover,
@@ -244,7 +211,7 @@ def _run(args: argparse.Namespace, loadgen_config) -> int:
         raise SystemExit(f"error: {error}") from None
     print(
         f"Starting {args.shards} shard(s) x {args.workers} worker(s) "
-        f"({args.engine} engine)..."
+        f"({args.segmenter} segmenter)..."
     )
     with front_door:
         report = run_fleet_loadgen(front_door, loadgen_config)

@@ -9,7 +9,7 @@ instances and, per request:
 2. applies the SLO shedding valve *before* dispatch, so overload is
    refused with a retry-after hint instead of queued into a breach,
 3. looks up the user's serving profile in the target shard's LRU,
-4. submits to the shard's engine and awaits the response under the
+4. submits to the shard's service and awaits the response under the
    fleet-wide deadline,
 5. on :class:`~repro.errors.ShardUnavailableError`, degrades to the
    next shard on the preference list; when the walk is exhausted the
@@ -192,8 +192,7 @@ class FleetFrontDoor:
     ----------
     shard_factory:
         ``shard_id -> ServiceShard`` (see
-        :func:`repro.fleet.shard.service_shard_factory` /
-        :func:`repro.fleet.shard.simulated_shard_factory`).
+        :func:`repro.fleet.shard.service_shard_factory`).
     config:
         Fleet-level knobs; shard-level ones live in the factory.
     """

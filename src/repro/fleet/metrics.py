@@ -166,7 +166,7 @@ class FleetMetricsCollector:
             statuses[shard_id] = ShardStatus(
                 shard_id=shard_id,
                 available=shard.available,
-                n_workers=shard.engine.n_workers,
+                n_workers=shard.service.n_workers,
                 rolling_p95_s=shard.window.p95(),
                 window_samples=len(shard.window),
                 n_scale_events=len(shard.scale_events),

@@ -1,34 +1,21 @@
-"""Service shards: one verification engine + profile cache per shard.
+"""Service shards: one verification service + profile cache per shard.
 
 A :class:`ServiceShard` is the fleet's unit of capacity and failure:
-it owns an engine (a warm :class:`~repro.serve.service.
-VerificationService` in production, a :class:`SimulatedShardEngine`
-for fleet-tier benchmarks), an in-shard LRU
-:class:`~repro.fleet.profiles.ProfileCache`, a rolling latency window
-feeding the SLO machinery, and an optional
-:class:`~repro.fleet.slo.Autoscaler` that resizes the engine's warm
+it owns a warm :class:`~repro.serve.service.VerificationService`, an
+in-shard LRU :class:`~repro.fleet.profiles.ProfileCache`, a rolling
+latency window feeding the SLO machinery, and an optional
+:class:`~repro.fleet.slo.Autoscaler` that resizes the service's warm
 pool as load moves.
-
-Engines implement the small :class:`ShardEngine` protocol.  The
-simulated engine models one shard *machine* — a bounded queue in
-front of N worker slots with a deterministic per-request service
-time — so the fleet benchmark can measure the serving tier itself
-(routing, queueing, shedding, scaling) at 10^5-user scale on one box,
-where running the full DSP pipeline per request would only measure a
-single CPU.  Its metrics come from the same
-:class:`~repro.serve.metrics.MetricsCollector` the real service uses,
-so fleet rollups are uniform across engines.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
-import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
-from repro.core.pipeline import DefenseVerdict
 from repro.errors import (
     ConfigurationError,
     ServiceOverloadError,
@@ -41,342 +28,14 @@ from repro.fleet.slo import (
     ShardLoad,
     SloConfig,
 )
-from repro.serve.metrics import MetricsCollector, ServiceMetrics
-from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
+from repro.serve.metrics import ServiceMetrics
+from repro.serve.queue import BackpressurePolicy
 from repro.serve.request import (
     RequestStatus,
     VerificationRequest,
     VerificationResponse,
 )
 from repro.serve.service import VerificationService
-
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - 3.7 fallback unused here
-    from typing_extensions import Protocol, runtime_checkable  # type: ignore
-
-
-@runtime_checkable
-class ShardEngine(Protocol):
-    """What a shard needs from its verification engine."""
-
-    def start(self) -> None:
-        """Warm up; must be called before :meth:`submit`."""
-
-    def stop(self) -> None:
-        """Drain and shut down (idempotent)."""
-
-    def submit(
-        self, request: VerificationRequest
-    ) -> "Future[VerificationResponse]":
-        """Admit one request; the future resolves exactly once."""
-
-    def metrics(self) -> ServiceMetrics:
-        """Counters/percentiles snapshot (fleet rollup input)."""
-
-    def scale_to(self, n_workers: int) -> None:
-        """Resize the warm worker pool (autoscaler hook)."""
-
-    @property
-    def n_workers(self) -> int:
-        """Current worker count."""
-        ...
-
-
-class ServiceEngine:
-    """The production engine: a warm :class:`VerificationService`.
-
-    The fleet forces a non-blocking backpressure policy (``reject`` or
-    ``shed-oldest``): a ``block`` submit would stall the front door's
-    event loop, and fleet-tier overload handling wants an immediate
-    refusal it can convert into a retry-after response.
-    """
-
-    def __init__(self, service: VerificationService) -> None:
-        policy = service.config.backpressure
-        if policy is BackpressurePolicy.BLOCK:
-            raise ConfigurationError(
-                "fleet shards need a non-blocking backpressure policy "
-                "('reject' or 'shed-oldest'); 'block' would stall the "
-                "front door"
-            )
-        self.service = service
-
-    def start(self) -> None:
-        self.service.start()
-
-    def stop(self) -> None:
-        self.service.stop()
-
-    def submit(
-        self, request: VerificationRequest
-    ) -> "Future[VerificationResponse]":
-        return self.service.submit(request)
-
-    def metrics(self) -> ServiceMetrics:
-        return self.service.metrics()
-
-    def scale_to(self, n_workers: int) -> None:
-        self.service.resize_workers(n_workers)
-
-    @property
-    def n_workers(self) -> int:
-        return self.service.n_workers
-
-
-@dataclass
-class SimulatedEngineConfig:
-    """Capacity model of one simulated shard machine.
-
-    ``service_time_s`` is the deterministic per-request execution
-    time; per-request jitter (±``jitter`` relative) is derived from
-    the request seed, so a simulated run is exactly reproducible.
-    Throughput capacity is ``n_workers / service_time_s``.
-    """
-
-    n_workers: int = 1
-    service_time_s: float = 0.006
-    jitter: float = 0.1
-    queue_capacity: int = 16
-    backpressure: BackpressurePolicy = BackpressurePolicy.REJECT
-
-    def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if not self.service_time_s > 0:
-            raise ConfigurationError(
-                f"service_time_s must be > 0, got {self.service_time_s}"
-            )
-        if not 0 <= self.jitter < 1:
-            raise ConfigurationError(
-                f"jitter must lie in [0, 1), got {self.jitter}"
-            )
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.backpressure is BackpressurePolicy.BLOCK:
-            raise ConfigurationError(
-                "simulated shards need a non-blocking policy"
-            )
-
-
-@dataclass
-class _SimEntry:
-    request: VerificationRequest
-    future: "Future[VerificationResponse]"
-    submitted_at: float
-
-
-class SimulatedShardEngine:
-    """Calibrated-delay shard engine for fleet-tier benchmarks.
-
-    Each of ``n_workers`` worker threads pulls from a bounded queue
-    and "executes" a request by sleeping its deterministic service
-    time, then resolves the future with a synthetic SERVED response
-    (degraded when the deadline had already expired at execution
-    start, mirroring the real service's full-recording fallback).
-    Sleeping workers scale near-linearly with shard count on any core
-    count, which is the point: the benchmark measures the fleet tier,
-    not the DSP.
-
-    On :meth:`stop` the queue closes and the workers drain everything
-    still queued before exiting — a submitted request always resolves
-    (the ``make fleet-smoke`` zero-dropped-on-shutdown assertion).
-    """
-
-    def __init__(
-        self, config: Optional[SimulatedEngineConfig] = None
-    ) -> None:
-        self.config = config or SimulatedEngineConfig()
-        self.metrics_collector = MetricsCollector()
-        self._queue: "BoundedRequestQueue[_SimEntry]" = (
-            BoundedRequestQueue(
-                capacity=self.config.queue_capacity,
-                policy=self.config.backpressure,
-            )
-        )
-        self._threads: List[threading.Thread] = []
-        self._target = self.config.n_workers
-        self._lock = threading.Lock()
-        self._started = False
-        self._next_worker = 0
-
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> None:
-        with self._lock:
-            if self._started:
-                return
-            self._started = True
-            for _ in range(self.config.n_workers):
-                self._spawn_locked()
-
-    def _spawn_locked(self) -> None:
-        index = self._next_worker
-        self._next_worker += 1
-        thread = threading.Thread(
-            target=self._worker_loop,
-            args=(index,),
-            name=f"sim-shard-worker-{index}",
-            daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
-
-    def stop(self) -> None:
-        with self._lock:
-            if not self._started:
-                return
-            self._started = False
-            threads = list(self._threads)
-            self._threads.clear()
-        self._queue.close()
-        for thread in threads:
-            thread.join()
-
-    def scale_to(self, n_workers: int) -> None:
-        """Grow or shrink the worker-slot count.
-
-        Growth spawns threads immediately; shrink is cooperative —
-        surplus workers exit after their current request (their slot
-        index falls off the target).
-        """
-        if int(n_workers) < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {n_workers}"
-            )
-        with self._lock:
-            if not self._started:
-                raise ConfigurationError("engine not started")
-            alive = sum(
-                1 for thread in self._threads if thread.is_alive()
-            )
-            self._target = int(n_workers)
-            for _ in range(self._target - alive):
-                self._spawn_locked()
-
-    @property
-    def n_workers(self) -> int:
-        with self._lock:
-            if not self._started:
-                return self.config.n_workers
-            return self._target
-
-    # -- serving --------------------------------------------------------
-
-    def submit(
-        self, request: VerificationRequest
-    ) -> "Future[VerificationResponse]":
-        with self._lock:
-            if not self._started:
-                raise ConfigurationError(
-                    "engine not started; call start()"
-                )
-        self.metrics_collector.record_submitted()
-        entry = _SimEntry(
-            request=request,
-            future=Future(),
-            submitted_at=time.monotonic(),
-        )
-        try:
-            shed = self._queue.put(entry)
-        except ServiceOverloadError:
-            self.metrics_collector.record_rejected()
-            raise
-        if shed is not None:
-            self.metrics_collector.record_shed()
-            shed.future.set_result(
-                VerificationResponse(
-                    request_id=shed.request.request_id,
-                    status=RequestStatus.SHED,
-                    total_s=time.monotonic() - shed.submitted_at,
-                    error="shed by backpressure policy 'shed-oldest'",
-                )
-            )
-        return entry.future
-
-    def metrics(self) -> ServiceMetrics:
-        return self.metrics_collector.snapshot(
-            queue_depth=self._queue.depth
-        )
-
-    # -- internals ------------------------------------------------------
-
-    @staticmethod
-    def _mix(seed: int) -> int:
-        """Splitmix-style 64-bit scramble of the request seed."""
-        mixed = (int(seed) * 0x9E3779B97F4A7C15) & (2**64 - 1)
-        mixed ^= mixed >> 31
-        return mixed
-
-    def _service_time_s(self, request: VerificationRequest) -> float:
-        base = self.config.service_time_s
-        if not self.config.jitter:
-            return base
-        unit = (self._mix(request.seed) & 0xFFFFFF) / float(0x1000000)
-        return base * (1.0 + self.config.jitter * (2.0 * unit - 1.0))
-
-    def _verdict(self, request: VerificationRequest) -> DefenseVerdict:
-        """Synthetic verdict: a deterministic score in [-1, 1].
-
-        Carrying a score (rather than ``verdict=None``) lets the
-        front door exercise per-user threshold application against
-        simulated shards exactly as against real ones.
-        """
-        bits = (self._mix(request.seed) >> 24) & 0xFFFFFF
-        score = 2.0 * (bits / float(0x1000000)) - 1.0
-        return DefenseVerdict(
-            score=score,
-            is_attack=None,
-            n_segments=0,
-            analyzed_duration_s=0.0,
-            sync_delay_s=0.0,
-        )
-
-    def _worker_loop(self, index: int) -> None:
-        while True:
-            with self._lock:
-                if index >= self._target and self._started:
-                    return
-            entry = self._queue.get(timeout_s=0.05)
-            if entry is None:
-                if self._queue.closed:
-                    return
-                continue
-            self._serve(entry)
-
-    def _serve(self, entry: _SimEntry) -> None:
-        if not entry.future.set_running_or_notify_cancel():
-            return  # caller cancelled while queued; nothing to resolve
-        started = time.monotonic()
-        queue_wait_s = started - entry.submitted_at
-        request = entry.request
-        degraded = (
-            request.deadline_s is not None
-            and queue_wait_s >= request.deadline_s
-        )
-        time.sleep(self._service_time_s(request))
-        now = time.monotonic()
-        total_s = now - entry.submitted_at
-        self.metrics_collector.record_served(
-            total_s=total_s,
-            queue_wait_s=queue_wait_s,
-            stage_timings_s={},
-            degraded=degraded,
-        )
-        entry.future.set_result(
-            VerificationResponse(
-                request_id=request.request_id,
-                status=RequestStatus.SERVED,
-                verdict=self._verdict(request),
-                degraded=degraded,
-                queue_wait_s=queue_wait_s,
-                total_s=total_s,
-            )
-        )
 
 
 @dataclass
@@ -389,20 +48,32 @@ class ScaleEvent:
 
 
 class ServiceShard:
-    """One fleet shard: engine + profiles + SLO window + autoscaler."""
+    """One fleet shard: service + profiles + SLO window + autoscaler.
+
+    The service must use a non-blocking backpressure policy
+    (``reject`` or ``shed-oldest``): a ``block`` submit would stall the
+    front door's event loop, and fleet-tier overload handling wants an
+    immediate refusal it can convert into a retry-after response.
+    """
 
     def __init__(
         self,
         shard_id: str,
-        engine: ShardEngine,
+        service: VerificationService,
         profiles: Optional[ProfileCache] = None,
         slo: Optional[SloConfig] = None,
         autoscaler: Optional[Autoscaler] = None,
     ) -> None:
         if not shard_id:
             raise ConfigurationError("shard_id must be non-empty")
+        if service.config.backpressure is BackpressurePolicy.BLOCK:
+            raise ConfigurationError(
+                "fleet shards need a non-blocking backpressure policy "
+                "('reject' or 'shed-oldest'); 'block' would stall the "
+                "front door"
+            )
         self.shard_id = shard_id
-        self.engine = engine
+        self.service = service
         # ``is not None``, not ``or``: an empty ProfileCache has
         # len() == 0 and would be falsy, silently dropping a
         # store-backed cache in favor of a derivation-only default.
@@ -420,19 +91,19 @@ class ServiceShard:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        self.engine.start()
+        self.service.start()
         self._running = True
         self._failed = False
 
     def stop(self) -> None:
         self._running = False
-        self.engine.stop()
+        self.service.stop()
 
     def fail(self) -> None:
-        """Mark the shard down and stop its engine (tests/chaos)."""
+        """Mark the shard down and stop its service (tests/chaos)."""
         self._failed = True
         self._running = False
-        self.engine.stop()
+        self.service.stop()
 
     @property
     def available(self) -> bool:
@@ -443,11 +114,11 @@ class ServiceShard:
     def submit(
         self, request: VerificationRequest
     ) -> "Future[VerificationResponse]":
-        """Admit one request to this shard's engine.
+        """Admit one request to this shard's service.
 
         Raises :class:`ShardUnavailableError` when the shard is down
         (the front door's cue to walk the failover preference list)
-        and re-raises :class:`ServiceOverloadError` when the engine's
+        and re-raises :class:`ServiceOverloadError` when the service's
         bounded queue refuses the request (the front door answers
         that with a retry-after, not a reroute — rerouting overload
         would cascade a hotspot across the fleet).
@@ -457,13 +128,13 @@ class ServiceShard:
                 f"shard {self.shard_id} is not available"
             )
         try:
-            future = self.engine.submit(request)
+            future = self.service.submit(request)
         except ServiceOverloadError:
             raise
         except Exception as error:
             self._failed = True
             raise ShardUnavailableError(
-                f"shard {self.shard_id} engine failed: "
+                f"shard {self.shard_id} service failed: "
                 f"{type(error).__name__}: {error}"
             ) from error
         future.add_done_callback(self._record_latency)
@@ -479,7 +150,7 @@ class ServiceShard:
             self.window.record(response.total_s)
 
     def metrics(self) -> ServiceMetrics:
-        return self.engine.metrics()
+        return self.service.metrics()
 
     # -- autoscaling ----------------------------------------------------
 
@@ -492,9 +163,9 @@ class ServiceShard:
         if self.autoscaler is None or not self.available:
             return None
         with self._scale_lock:
-            snapshot = self.engine.metrics()
+            snapshot = self.service.metrics()
             load = ShardLoad(
-                n_workers=self.engine.n_workers,
+                n_workers=self.service.n_workers,
                 queue_depth=snapshot.queue_depth,
                 rolling_p95_s=self.window.p95(),
                 window_samples=len(self.window),
@@ -502,7 +173,7 @@ class ServiceShard:
             target = self.autoscaler.target_workers(load, now)
             if target == load.n_workers:
                 return None
-            self.engine.scale_to(target)
+            self.service.resize_workers(target)
             event = ScaleEvent(
                 at_s=now,
                 from_workers=load.n_workers,
@@ -529,40 +200,12 @@ def service_shard_factory(
     """
 
     def build(shard_id: str) -> ServiceShard:
-        import copy
-
-        service = VerificationService(spec, copy.deepcopy(config))
         return ServiceShard(
             shard_id,
-            ServiceEngine(service),
+            VerificationService(spec, copy.deepcopy(config)),
             profiles=ProfileCache(
                 capacity=profiles_capacity, loader=profile_loader
             ),
-            slo=slo,
-            autoscaler=(
-                autoscaler_factory() if autoscaler_factory else None
-            ),
-        )
-
-    return build
-
-
-def simulated_shard_factory(
-    engine_config: Optional[SimulatedEngineConfig] = None,
-    profiles_capacity: int = 4096,
-    slo: Optional[SloConfig] = None,
-    autoscaler_factory: Optional[Callable[[], Autoscaler]] = None,
-) -> Callable[[str], ServiceShard]:
-    """``shard_id -> ServiceShard`` over simulated engines (benchmarks)."""
-
-    def build(shard_id: str) -> ServiceShard:
-        import copy
-
-        config = copy.deepcopy(engine_config) or SimulatedEngineConfig()
-        return ServiceShard(
-            shard_id,
-            SimulatedShardEngine(config),
-            profiles=ProfileCache(capacity=profiles_capacity),
             slo=slo,
             autoscaler=(
                 autoscaler_factory() if autoscaler_factory else None

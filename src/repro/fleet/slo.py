@@ -12,8 +12,8 @@ Three small, individually-testable pieces:
   arrive exactly when verification latency matters most.
 * :class:`Autoscaler` — a pure decision function from a shard's load
   snapshot to a target warm-worker count, with hysteresis so the pool
-  does not thrash.  The shard applies the decision via
-  ``engine.scale_to``.
+  does not thrash.  The shard applies the decision via its
+  service's ``resize_workers``.
 
 All three are clock-free value objects (callers pass ``now``), so the
 test suite drives them deterministically.

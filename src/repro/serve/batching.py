@@ -291,19 +291,27 @@ class MicroBatchScheduler(Generic[T]):
         pending.entries.append(entry)
         pending.arrivals.append(now)
 
-    def ready_batches(self, now: float) -> List[Batch[T]]:
+    def ready_batches(
+        self, now: float, limit: Optional[int] = None
+    ) -> List[Batch[T]]:
         """Pop every batch whose dispatch condition holds at ``now``.
 
         A class dispatches when it holds ``max_batch_size`` entries
         (repeatedly, if it holds several batches' worth) or when its
         oldest entry has waited ``max_wait_s``.  Entries leave in
-        arrival order, so FIFO order is preserved within a class.
+        arrival order, so FIFO order is preserved within a class.  At
+        most ``limit`` batches are popped (``None``: no limit); the
+        rest stay pending for a later call.
         """
         batches: List[Batch[T]] = []
         size = self.effective_batch_size
+
+        def room() -> bool:
+            return limit is None or len(batches) < limit
+
         for key in list(self._pending):
             pending = self._pending[key]
-            while len(pending.entries) >= size:
+            while len(pending.entries) >= size and room():
                 batches.append(
                     Batch(
                         key=key,
@@ -313,8 +321,10 @@ class MicroBatchScheduler(Generic[T]):
                 )
                 del pending.entries[:size]
                 del pending.arrivals[:size]
-            if pending.entries and (
-                now - pending.oldest_arrival >= self.config.max_wait_s
+            if (
+                pending.entries
+                and room()
+                and now - pending.oldest_arrival >= self.config.max_wait_s
             ):
                 batches.append(
                     Batch(

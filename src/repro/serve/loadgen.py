@@ -94,8 +94,7 @@ class UserActivityModel:
 
         Derived from ``(seed, index)`` alone — not from generator
         state — so any subset of the request stream can be regenerated
-        independently (the fleet benchmark re-derives per-shard
-        streams this way).
+        independently.
         """
         rng = np.random.default_rng(
             derive_seed(self.seed, "user-draw", index)

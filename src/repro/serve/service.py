@@ -6,7 +6,11 @@ into a bounded queue (applying the configured backpressure policy) and
 returns a future; a scheduler thread drains the queue, groups
 compatible requests into micro-batches under the ``max_wait_s``
 deadline, and dispatches them to a :class:`WarmWorkerPool` whose
-workers trained the segmenter once at startup.  Every submitted
+workers trained the segmenter once at startup.  It dispatches at most
+one batch per worker and stops draining while every worker is busy
+and a full batch is pending, so accepted-but-not-running work stays
+within ``queue_capacity`` plus one forming batch and the backpressure
+policy sees the real backlog.  Every submitted
 request reaches exactly one terminal status: served (possibly degraded
 past its deadline), rejected, shed, or failed.
 
@@ -66,7 +70,8 @@ class ServiceConfig:
     worker_mode:
         ``"thread"`` or ``"process"`` (see :class:`WarmWorkerPool`).
     queue_capacity:
-        Bound of the admission queue.
+        Bound of the admission queue; with one forming batch, it
+        bounds the work admitted but not yet running.
     backpressure:
         Policy at capacity: ``block`` / ``reject`` / ``shed-oldest``
         (enum or its string value).
@@ -206,6 +211,9 @@ class VerificationService:
         self._inflight_lock = threading.Lock()
         self._inflight_drained = threading.Condition(self._inflight_lock)
         self._stop_event = threading.Event()
+        # Set on every admission, batch completion, resize and stop, so
+        # the scheduler re-checks for work to admit and workers to use.
+        self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._started = False
         # Serializes start/stop/resize so concurrent lifecycle calls
@@ -253,6 +261,7 @@ class VerificationService:
                 return
             self._stop_event.set()
             self._queue.close()
+            self._wake.set()
             if self._thread is not None:
                 self._thread.join()
                 self._thread = None
@@ -296,6 +305,7 @@ class VerificationService:
             new_pool.start()
             old_pool, self._pool = self._pool, new_pool
             self.config.n_workers = n_workers
+        self._wake.set()
         threading.Thread(
             target=lambda: old_pool.shutdown(wait=True),
             name="verify-pool-retire",
@@ -355,6 +365,7 @@ class VerificationService:
         except ServiceOverloadError:
             self.metrics_collector.record_rejected()
             raise
+        self._wake.set()
         if shed is not None:
             self.metrics_collector.record_shed()
             shed.future.set_result(
@@ -393,31 +404,45 @@ class VerificationService:
 
     def _scheduler_loop(self) -> None:
         while True:
-            with self._scheduler_lock:
-                deadline = self._scheduler.next_deadline(time.monotonic())
-            timeout = _IDLE_POLL_S if deadline is None else deadline
-            entry = self._queue.get(timeout_s=min(timeout, _IDLE_POLL_S))
+            self._wake.clear()
             now = time.monotonic()
             with self._scheduler_lock:
-                if entry is not None:
-                    self._scheduler.offer(
-                        entry, entry.request.batch_key, now
-                    )
-                    # Opportunistically drain whatever else is queued so
-                    # batches actually fill under load.
-                    while True:
-                        extra = self._queue.get(timeout_s=0)
-                        if extra is None:
-                            break
-                        self._scheduler.offer(
-                            extra, extra.request.batch_key, now
-                        )
-                batches = self._scheduler.ready_batches(now)
+                free = self._free_workers()
+                self._admit(free, now)
+                batches = self._scheduler.ready_batches(now, limit=free)
+                deadline = (
+                    self._scheduler.next_deadline(now)
+                    if free > len(batches)
+                    else None
+                )
             for batch in batches:
                 self._dispatch(batch, now)
             if self._stop_event.is_set():
                 self._drain_on_stop()
                 return
+            if not batches:
+                timeout = _IDLE_POLL_S if deadline is None else deadline
+                self._wake.wait(min(timeout, _IDLE_POLL_S))
+
+    def _free_workers(self) -> int:
+        """Workers of the current pool with no batch dispatched to them."""
+        with self._inflight_lock:
+            busy = len(self._inflight)
+        return max(0, self._pool.n_workers - busy)
+
+    def _admit(self, free: int, now: float) -> None:
+        """Move queued entries into the scheduler while they can run soon.
+
+        Pulling stops once one full batch is pending beyond what the
+        ``free`` workers take, so under overload the backlog stays in
+        the bounded queue, where the backpressure policy applies to it.
+        """
+        room = self._scheduler.effective_batch_size * (free + 1)
+        while self._scheduler.n_pending < room:
+            entry = self._queue.get(timeout_s=0)
+            if entry is None:
+                return
+            self._scheduler.offer(entry, entry.request.batch_key, now)
 
     def _drain_on_stop(self) -> None:
         """Flush everything still queued or pending at shutdown."""
@@ -527,6 +552,7 @@ class VerificationService:
                 self._inflight.discard(pool_future)
                 if not self._inflight:
                     self._inflight_drained.notify_all()
+            self._wake.set()
 
     def _fail_batch(
         self, entries: List[_Entry], error: BaseException

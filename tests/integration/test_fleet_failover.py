@@ -15,38 +15,38 @@ ring, one shard fails, and the invariants must hold —
 import collections
 
 import numpy as np
+import pytest
 
 from repro.fleet import (
     FleetConfig,
     FleetFrontDoor,
     FleetRequest,
-    SimulatedEngineConfig,
     SloConfig,
-    simulated_shard_factory,
 )
 from repro.serve.request import RequestStatus
 
 AUDIO = np.zeros(160)
 
 
-def make_fleet(n_shards=3, failover=2, service_time_s=0.002):
-    slo = SloConfig(retry_after_s=0.25)
-    return FleetFrontDoor(
-        simulated_shard_factory(
-            engine_config=SimulatedEngineConfig(
-                n_workers=1,
+@pytest.fixture()
+def make_fleet(stub_shard_factory):
+    def make(n_shards=3, failover=2, service_time_s=0.002):
+        slo = SloConfig(retry_after_s=0.25)
+        return FleetFrontDoor(
+            stub_shard_factory(
                 service_time_s=service_time_s,
                 queue_capacity=512,
+                slo=slo,
             ),
-            slo=slo,
-        ),
-        FleetConfig(
-            n_shards=n_shards,
-            failover=failover,
-            slo=slo,
-            autoscale_interval_s=0.0,
-        ),
-    )
+            FleetConfig(
+                n_shards=n_shards,
+                failover=failover,
+                slo=slo,
+                autoscale_interval_s=0.0,
+            ),
+        )
+
+    return make
 
 
 def request(user, rid):
@@ -59,7 +59,7 @@ def request(user, rid):
     )
 
 
-def test_shard_failure_reroutes_without_losing_requests():
+def test_shard_failure_reroutes_without_losing_requests(make_fleet):
     fleet = make_fleet()
     with fleet:
         victim = "shard-1"
@@ -111,7 +111,7 @@ def test_shard_failure_reroutes_without_losing_requests():
     assert not metrics.shards[victim].available
 
 
-def test_all_shards_down_rejects_with_retry_after():
+def test_all_shards_down_rejects_with_retry_after(make_fleet):
     fleet = make_fleet(n_shards=2, failover=1)
     with fleet:
         for shard in fleet.shards.values():
@@ -125,7 +125,7 @@ def test_all_shards_down_rejects_with_retry_after():
     assert metrics.n_unresolved == 0
 
 
-def test_failover_disabled_rejects_orphans():
+def test_failover_disabled_rejects_orphans(make_fleet):
     fleet = make_fleet(n_shards=3, failover=0)
     with fleet:
         victim = "shard-0"
@@ -148,7 +148,7 @@ def test_failover_disabled_rejects_orphans():
     assert metrics.n_unresolved == 0
 
 
-def test_failure_during_inflight_traffic_drains_cleanly():
+def test_failure_during_inflight_traffic_drains_cleanly(make_fleet):
     """Kill a shard while its queue is non-empty: everything resolves."""
     fleet = make_fleet(n_shards=3, service_time_s=0.01)
     with fleet:
@@ -167,5 +167,5 @@ def test_failure_during_inflight_traffic_drains_cleanly():
     assert sum(counts.values()) == 80
     assert metrics.n_unresolved == 0
     # Requests already queued on the victim when it died resolve as
-    # SERVED (its engine drains on stop) — nothing hangs or doubles.
+    # SERVED (its service drains on stop) — nothing hangs or doubles.
     assert counts[RequestStatus.SERVED] >= 1

@@ -67,11 +67,11 @@ def test_fleet_loadgen_command(capsys):
     exit_code = main(
         [
             "fleet", "loadgen",
-            "--engine", "sim",
+            "--segmenter", "none",
             "--shards", "2",
             "--requests", "20",
             "--users", "1000",
-            "--rate", "2000",
+            "--rate", "20",
             "--queue-capacity", "64",
             "--seed", "7",
         ]

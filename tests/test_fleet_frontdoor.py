@@ -10,37 +10,36 @@ from repro.fleet import (
     FleetConfig,
     FleetFrontDoor,
     FleetRequest,
-    SimulatedEngineConfig,
     SloConfig,
     derive_user_profile,
-    simulated_shard_factory,
 )
 from repro.serve.request import RequestStatus
 
 AUDIO = np.zeros(160)
 
 
-def make_fleet(
-    n_shards=2,
-    service_time_s=0.002,
-    queue_capacity=64,
-    slo=None,
-    **config_kwargs,
-):
-    slo = slo or SloConfig()
-    factory = simulated_shard_factory(
-        engine_config=SimulatedEngineConfig(
-            n_workers=1,
+@pytest.fixture()
+def make_fleet(stub_shard_factory):
+    def make(
+        n_shards=2,
+        service_time_s=0.002,
+        queue_capacity=64,
+        slo=None,
+        **config_kwargs,
+    ):
+        slo = slo or SloConfig()
+        factory = stub_shard_factory(
             service_time_s=service_time_s,
             queue_capacity=queue_capacity,
-        ),
-        slo=slo,
-    )
-    config_kwargs.setdefault("autoscale_interval_s", 0.0)
-    return FleetFrontDoor(
-        factory,
-        FleetConfig(n_shards=n_shards, slo=slo, **config_kwargs),
-    )
+            slo=slo,
+        )
+        config_kwargs.setdefault("autoscale_interval_s", 0.0)
+        return FleetFrontDoor(
+            factory,
+            FleetConfig(n_shards=n_shards, slo=slo, **config_kwargs),
+        )
+
+    return make
 
 
 def request(user, rid="r0", **kwargs):
@@ -54,7 +53,7 @@ def request(user, rid="r0", **kwargs):
 
 
 class TestRouting:
-    def test_same_user_same_shard(self):
+    def test_same_user_same_shard(self, make_fleet):
         with make_fleet(n_shards=4) as fleet:
             shards = {
                 fleet.verify(request("user-7", f"r{i}")).shard_id
@@ -62,7 +61,7 @@ class TestRouting:
             }
         assert len(shards) == 1
 
-    def test_users_spread_across_shards(self):
+    def test_users_spread_across_shards(self, make_fleet):
         with make_fleet(n_shards=4) as fleet:
             shards = {
                 fleet.verify(request(f"user-{i}", f"r{i}")).shard_id
@@ -70,7 +69,7 @@ class TestRouting:
             }
         assert len(shards) == 4
 
-    def test_routing_matches_ring_owner(self):
+    def test_routing_matches_ring_owner(self, make_fleet):
         with make_fleet(n_shards=4) as fleet:
             for i in range(10):
                 user = f"user-{i}"
@@ -78,7 +77,7 @@ class TestRouting:
                 assert response.shard_id == fleet.ring.owner(user)
                 assert not response.rerouted
 
-    def test_personal_threshold_applied(self):
+    def test_personal_threshold_applied(self, make_fleet):
         with make_fleet() as fleet:
             response = fleet.verify(request("user-3"))
         profile = derive_user_profile("user-3")
@@ -87,7 +86,7 @@ class TestRouting:
             response.verdict.score < profile.threshold
         )
 
-    def test_profiles_can_be_disabled(self):
+    def test_profiles_can_be_disabled(self, make_fleet):
         with make_fleet(apply_profiles=False) as fleet:
             response = fleet.verify(request("user-3"))
         assert response.profile_threshold is None
@@ -95,7 +94,7 @@ class TestRouting:
 
 
 class TestShedding:
-    def test_slo_breach_sheds_low_priority_only(self):
+    def test_slo_breach_sheds_low_priority_only(self, make_fleet):
         slo = SloConfig(
             target_p95_s=0.0001, min_samples=5, retry_after_s=0.5
         )
@@ -121,7 +120,7 @@ class TestShedding:
 
 
 class TestDeadlines:
-    def test_fleet_deadline_times_out(self):
+    def test_fleet_deadline_times_out(self, make_fleet):
         with make_fleet(
             service_time_s=0.05,
             queue_capacity=64,
@@ -144,12 +143,12 @@ class TestDeadlines:
             for blocker in blockers:
                 blocker.result()
         # Either the queue wait already blew the budget (FAILED) or
-        # the engine answered degraded within the grace; with zero
+        # the service answered degraded within the grace; with zero
         # grace and 50 ms service time, FAILED is the expected path.
         assert late.status is RequestStatus.FAILED
         assert "deadline" in late.error
 
-    def test_default_deadline_from_config(self):
+    def test_default_deadline_from_config(self, make_fleet):
         with make_fleet(
             service_time_s=0.001, default_deadline_s=5.0
         ) as fleet:
@@ -158,7 +157,7 @@ class TestDeadlines:
 
 
 class TestLifecycle:
-    def test_stop_is_idempotent_and_concurrent_safe(self):
+    def test_stop_is_idempotent_and_concurrent_safe(self, make_fleet):
         fleet = make_fleet()
         fleet.start()
         fleet.verify(request("user-1"))
@@ -180,18 +179,18 @@ class TestLifecycle:
         assert not errors
         fleet.stop()  # third-party no-op
 
-    def test_submit_after_stop_refused(self):
+    def test_submit_after_stop_refused(self, make_fleet):
         fleet = make_fleet()
         fleet.start()
         fleet.stop()
         with pytest.raises(ConfigurationError):
             fleet.submit_threadsafe(request("user-1"))
 
-    def test_submit_before_start_refused(self):
+    def test_submit_before_start_refused(self, make_fleet):
         with pytest.raises(ConfigurationError):
             make_fleet().submit_threadsafe(request("user-1"))
 
-    def test_stop_drains_inflight_requests(self):
+    def test_stop_drains_inflight_requests(self, make_fleet):
         fleet = make_fleet(service_time_s=0.01, queue_capacity=256)
         fleet.start()
         futures = [
@@ -205,7 +204,7 @@ class TestLifecycle:
         )
         assert fleet.metrics().n_unresolved == 0
 
-    def test_start_is_idempotent(self):
+    def test_start_is_idempotent(self, make_fleet):
         fleet = make_fleet()
         fleet.start()
         fleet.start()
@@ -214,16 +213,13 @@ class TestLifecycle:
 
 
 class TestAutoscaling:
-    def test_autoscaler_grows_overloaded_shard(self):
+    def test_autoscaler_grows_overloaded_shard(self, stub_shard_factory):
         from repro.fleet import Autoscaler, AutoscalerConfig
 
         slo = SloConfig(target_p95_s=0.005, min_samples=5)
-        factory = simulated_shard_factory(
-            engine_config=SimulatedEngineConfig(
-                n_workers=1,
-                service_time_s=0.01,
-                queue_capacity=512,
-            ),
+        factory = stub_shard_factory(
+            service_time_s=0.01,
+            queue_capacity=512,
             slo=slo,
             autoscaler_factory=lambda: Autoscaler(
                 AutoscalerConfig(cooldown_s=0.0, max_workers=4), slo
@@ -245,7 +241,7 @@ class TestAutoscaling:
             for future in futures:
                 future.result(timeout=10)
             shard = fleet.shards["shard-0"]
-            assert shard.engine.n_workers > 1
+            assert shard.service.n_workers > 1
             assert len(shard.scale_events) >= 1
 
 

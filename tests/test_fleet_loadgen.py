@@ -8,18 +8,16 @@ from repro.fleet import (
     FleetConfig,
     FleetFrontDoor,
     FleetLoadgenConfig,
-    SimulatedEngineConfig,
     SloConfig,
     make_fleet_request,
     run_fleet_loadgen,
-    simulated_shard_factory,
 )
 from repro.serve.loadgen import RecordingPool, UserActivityModel
 
 
 @pytest.fixture(scope="module")
 def tiny_pool():
-    """Audio content is irrelevant to simulated shards."""
+    """Audio content is irrelevant to the stub pipeline."""
     audio = np.zeros(160)
     return RecordingPool(
         pairs=[(audio, audio, False), (audio, audio, True)]
@@ -78,15 +76,13 @@ class TestUserActivityModel:
 
 
 class TestFleetLoadgen:
-    def _fleet(self):
+    def _fleet(self, stub_shard_factory):
         slo = SloConfig()
         return FleetFrontDoor(
-            simulated_shard_factory(
-                engine_config=SimulatedEngineConfig(
-                    n_workers=2,
-                    service_time_s=0.001,
-                    queue_capacity=256,
-                ),
+            stub_shard_factory(
+                service_time_s=0.001,
+                n_workers=2,
+                queue_capacity=256,
                 slo=slo,
             ),
             FleetConfig(
@@ -94,11 +90,13 @@ class TestFleetLoadgen:
             ),
         )
 
-    def test_accounting_partitions_issued(self, tiny_pool):
+    def test_accounting_partitions_issued(
+        self, tiny_pool, stub_shard_factory
+    ):
         config = FleetLoadgenConfig(
             n_requests=60, users=500, rate_rps=2000.0, seed=1
         )
-        with self._fleet() as fleet:
+        with self._fleet(stub_shard_factory) as fleet:
             report = run_fleet_loadgen(fleet, config, pool=tiny_pool)
             metrics = fleet.metrics()
         assert report.n_issued == 60

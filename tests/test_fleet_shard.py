@@ -1,6 +1,6 @@
-"""Service shards: sim engine semantics, health, autoscale hook."""
+"""Service shards over real verification services: health, overload,
+latency window, autoscale hook, block-policy refusal."""
 
-import threading
 import time
 
 import numpy as np
@@ -11,15 +11,9 @@ from repro.errors import (
     ServiceOverloadError,
     ShardUnavailableError,
 )
-from repro.fleet.shard import (
-    ServiceEngine,
-    ServiceShard,
-    SimulatedEngineConfig,
-    SimulatedShardEngine,
-)
+from repro.fleet.shard import ServiceShard
 from repro.fleet.slo import Autoscaler, AutoscalerConfig, SloConfig
 from repro.serve import (
-    BackpressurePolicy,
     PipelineSpec,
     ServiceConfig,
     VerificationRequest,
@@ -37,221 +31,49 @@ def make_request(seed, **kwargs):
     )
 
 
-def sim_engine(**kwargs):
-    kwargs.setdefault("service_time_s", 0.001)
-    return SimulatedShardEngine(SimulatedEngineConfig(**kwargs))
-
-
-class TestSimulatedEngine:
-    def test_serves_with_synthetic_verdict(self):
-        engine = sim_engine()
-        engine.start()
-        try:
-            response = engine.submit(make_request(1)).result()
-        finally:
-            engine.stop()
-        assert response.status is RequestStatus.SERVED
-        assert -1.0 <= response.verdict.score <= 1.0
-
-    def test_verdict_deterministic_in_seed(self):
-        scores = []
-        for _ in range(2):
-            engine = sim_engine()
-            engine.start()
-            scores.append(
-                engine.submit(make_request(42)).result().verdict.score
-            )
-            engine.stop()
-        assert scores[0] == scores[1]
-
-    def test_submit_before_start_raises(self):
-        with pytest.raises(ConfigurationError):
-            sim_engine().submit(make_request(0))
-
-    def test_stop_drains_queued_requests(self):
-        engine = sim_engine(n_workers=1, service_time_s=0.01,
-                            queue_capacity=32)
-        engine.start()
-        futures = [engine.submit(make_request(i)) for i in range(10)]
-        engine.stop()
-        statuses = {f.result(timeout=5).status for f in futures}
-        assert statuses == {RequestStatus.SERVED}
-        assert engine.metrics().n_served == 10
-
-    def test_reject_policy_at_capacity(self):
-        engine = sim_engine(
-            n_workers=1, service_time_s=0.05, queue_capacity=1
-        )
-        engine.start()
-        try:
-            engine.submit(make_request(0))
-            with pytest.raises(ServiceOverloadError):
-                for i in range(1, 8):
-                    engine.submit(make_request(i))
-        finally:
-            engine.stop()
-        assert engine.metrics().n_rejected >= 1
-
-    def test_shed_oldest_resolves_shed_future(self):
-        engine = sim_engine(
-            n_workers=1,
-            service_time_s=0.05,
-            queue_capacity=1,
-            backpressure=BackpressurePolicy.SHED_OLDEST,
-        )
-        engine.start()
-        futures = [engine.submit(make_request(i)) for i in range(6)]
-        engine.stop()
-        statuses = [f.result(timeout=5).status for f in futures]
-        assert statuses.count(RequestStatus.SHED) >= 1
-        assert statuses.count(RequestStatus.SERVED) >= 1
-        assert len(statuses) == 6
-
-    def test_expired_deadline_marks_degraded(self):
-        engine = sim_engine(n_workers=1, service_time_s=0.03,
-                            queue_capacity=8)
-        engine.start()
-        try:
-            blocker = engine.submit(make_request(0))
-            late = engine.submit(
-                make_request(1, deadline_s=0.001)
-            )
-            blocker.result(timeout=5)
-            assert late.result(timeout=5).degraded
-        finally:
-            engine.stop()
-
-    def test_scale_up_increases_throughput_capacity(self):
-        engine = sim_engine(n_workers=1, service_time_s=0.02,
-                            queue_capacity=64)
-        engine.start()
-        try:
-            engine.scale_to(4)
-            assert engine.n_workers == 4
-            start = time.monotonic()
-            futures = [
-                engine.submit(make_request(i)) for i in range(12)
-            ]
-            for future in futures:
-                future.result(timeout=5)
-            elapsed = time.monotonic() - start
-            # 12 requests x 20 ms / 4 workers ~ 60 ms; serial would
-            # be ~240 ms.  Allow generous scheduling slack.
-            assert elapsed < 0.18
-        finally:
-            engine.stop()
-
-    def test_scale_down_is_cooperative(self):
-        engine = sim_engine(n_workers=4, queue_capacity=64)
-        engine.start()
-        try:
-            engine.scale_to(1)
-            assert engine.n_workers == 1
-            futures = [
-                engine.submit(make_request(i)) for i in range(8)
-            ]
-            for future in futures:
-                assert future.result(timeout=5).status is (
-                    RequestStatus.SERVED
-                )
-        finally:
-            engine.stop()
-
-    def test_invalid_configs(self):
-        for kwargs in (
-            {"n_workers": 0},
-            {"service_time_s": 0.0},
-            {"jitter": 1.0},
-            {"queue_capacity": 0},
-            {"backpressure": BackpressurePolicy.BLOCK},
-        ):
-            with pytest.raises(ConfigurationError):
-                SimulatedEngineConfig(**kwargs)
-        engine = sim_engine()
-        engine.start()
-        try:
-            with pytest.raises(ConfigurationError):
-                engine.scale_to(0)
-        finally:
-            engine.stop()
-
-
-class TestServiceEngine:
-    def test_block_policy_refused(self):
-        service = VerificationService(
-            PipelineSpec(use_segmenter=False),
-            ServiceConfig(backpressure="block"),
-        )
-        with pytest.raises(ConfigurationError):
-            ServiceEngine(service)
-
-    def test_wraps_service_lifecycle_and_scaling(self):
-        engine = ServiceEngine(
-            VerificationService(
-                PipelineSpec(use_segmenter=False),
-                ServiceConfig(n_workers=1, backpressure="reject"),
-            )
-        )
-        rng = np.random.default_rng(3)
-        va = rng.normal(0.0, 0.1, 8_000)
-        wearable = 0.8 * va + rng.normal(0.0, 0.02, 8_000)
-        request = VerificationRequest(
-            va_audio=va, wearable_audio=wearable, seed=3,
-            request_id="req-3",
-        )
-        engine.start()
-        try:
-            response = engine.submit(request).result(timeout=30)
-            assert response.status is RequestStatus.SERVED
-            engine.scale_to(2)
-            assert engine.n_workers == 2
-        finally:
-            engine.stop()
-        assert engine.metrics().n_served == 1
+def wait_for_window(shard, samples=1):
+    deadline = time.monotonic() + 2.0
+    while len(shard.window) < samples:
+        if time.monotonic() > deadline:  # pragma: no cover
+            pytest.fail("latency never recorded")
+        time.sleep(0.005)
 
 
 class TestServiceShard:
-    def _shard(self, **engine_kwargs):
-        return ServiceShard(
-            "shard-0",
-            sim_engine(**engine_kwargs),
-            slo=SloConfig(),
-        )
+    @pytest.fixture()
+    def shard(self, stub_shard_factory):
+        return stub_shard_factory(slo=SloConfig())("shard-0")
 
-    def test_records_served_latency_in_window(self):
-        shard = self._shard()
+    def test_records_served_latency_in_window(self, shard):
         shard.start()
         try:
-            shard.submit(make_request(0)).result(timeout=5)
-            deadline = time.monotonic() + 2.0
-            while len(shard.window) < 1:
-                if time.monotonic() > deadline:  # pragma: no cover
-                    pytest.fail("latency never recorded")
-                time.sleep(0.005)
+            response = shard.submit(make_request(0)).result(timeout=5)
+            assert response.status is RequestStatus.SERVED
+            wait_for_window(shard)
         finally:
             shard.stop()
 
-    def test_unavailable_after_fail(self):
-        shard = self._shard()
+    def test_unavailable_after_fail(self, shard):
         shard.start()
         shard.fail()
         assert not shard.available
         with pytest.raises(ShardUnavailableError):
             shard.submit(make_request(0))
 
-    def test_submit_before_start_is_unavailable(self):
+    def test_submit_before_start_is_unavailable(self, shard):
         with pytest.raises(ShardUnavailableError):
-            self._shard().submit(make_request(0))
+            shard.submit(make_request(0))
 
     def test_engine_error_marks_shard_failed(self):
-        class ExplodingEngine(SimulatedShardEngine):
+        class ExplodingService(VerificationService):
             def submit(self, request):
                 raise RuntimeError("disk on fire")
 
         shard = ServiceShard(
             "shard-0",
-            ExplodingEngine(
-                SimulatedEngineConfig(service_time_s=0.001)
+            ExplodingService(
+                PipelineSpec(use_segmenter=False),
+                ServiceConfig(n_workers=1, backpressure="reject"),
             ),
         )
         shard.start()
@@ -260,10 +82,10 @@ class TestServiceShard:
         assert not shard.available
         shard.stop()
 
-    def test_overload_propagates_not_unavailable(self):
-        shard = self._shard(
-            n_workers=1, service_time_s=0.05, queue_capacity=1
-        )
+    def test_overload_propagates_not_unavailable(self, stub_shard_factory):
+        shard = stub_shard_factory(
+            service_time_s=0.05, queue_capacity=1, max_batch_size=1
+        )("shard-0")
         shard.start()
         try:
             with pytest.raises(ServiceOverloadError):
@@ -273,44 +95,45 @@ class TestServiceShard:
         finally:
             shard.stop()
 
-    def test_autoscale_tick_applies_and_records(self):
+    def test_autoscale_tick_applies_and_records(self, stub_shard_factory):
         slo = SloConfig(target_p95_s=0.001, min_samples=1)
-        shard = ServiceShard(
-            "shard-0",
-            sim_engine(n_workers=1, service_time_s=0.01,
-                       queue_capacity=64),
+        shard = stub_shard_factory(
+            service_time_s=0.01,
             slo=slo,
-            autoscaler=Autoscaler(
+            autoscaler_factory=lambda: Autoscaler(
                 AutoscalerConfig(cooldown_s=0.0), slo
             ),
-        )
+        )("shard-0")
         shard.start()
         try:
             shard.submit(make_request(0)).result(timeout=5)
-            deadline = time.monotonic() + 2.0
-            while len(shard.window) < 1:
-                if time.monotonic() > deadline:  # pragma: no cover
-                    pytest.fail("latency never recorded")
-                time.sleep(0.005)
+            wait_for_window(shard)
             event = shard.autoscale_tick(now=100.0)
             assert event is not None
             assert event.to_workers == 2
-            assert shard.engine.n_workers == 2
+            assert shard.service.n_workers == 2
             assert shard.scale_events == [event]
         finally:
             shard.stop()
 
-    def test_autoscale_tick_without_autoscaler_is_noop(self):
-        shard = self._shard()
+    def test_autoscale_tick_without_autoscaler_is_noop(self, shard):
         shard.start()
         try:
             assert shard.autoscale_tick(now=0.0) is None
         finally:
             shard.stop()
 
-    def test_empty_shard_id_rejected(self):
+    def test_empty_shard_id_rejected(self, stub_shard_factory):
         with pytest.raises(ConfigurationError):
-            ServiceShard("", sim_engine())
+            stub_shard_factory()("")
+
+    def test_block_policy_refused(self):
+        service = VerificationService(
+            PipelineSpec(use_segmenter=False),
+            ServiceConfig(backpressure="block"),
+        )
+        with pytest.raises(ConfigurationError):
+            ServiceShard("shard-0", service)
 
     def test_custom_profile_cache_is_kept_even_when_empty(self, tmp_path):
         """Regression: an empty ProfileCache is falsy (len 0); the
@@ -326,7 +149,11 @@ class TestServiceShard:
             ModelRegistry(tmp_path / "store")
         )
         cache = ProfileCache(capacity=8, loader=loader)
-        shard = ServiceShard("shard-0", sim_engine(), profiles=cache)
+        service = VerificationService(
+            PipelineSpec(use_segmenter=False),
+            ServiceConfig(backpressure="reject"),
+        )
+        shard = ServiceShard("shard-0", service, profiles=cache)
         assert shard.profiles is cache
 
         factory = service_shard_factory(

@@ -50,7 +50,7 @@ class TestDspBatchParity:
     def test_loudspeaker_play_batch_bitwise(self):
         speaker = Loudspeaker(WEARABLE_SPEAKER)
         stack = np.random.default_rng(3).normal(0.0, 0.3, (4, 4_000))
-        batched = speaker.play_batch(stack, AUDIO_RATE)
+        batched = speaker.play(stack, AUDIO_RATE)
         for row in range(stack.shape[0]):
             single = speaker.play(stack[row], AUDIO_RATE)
             np.testing.assert_array_equal(batched[row], single)

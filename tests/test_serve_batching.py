@@ -73,6 +73,19 @@ class TestBatchFormation:
         assert [len(batch) for batch in batches] == [3, 3]
         assert scheduler.n_pending == 1  # the tail waits for its deadline
 
+    def test_limit_caps_popped_batches_and_keeps_fifo(self):
+        scheduler = MicroBatchScheduler(
+            BatchingConfig(max_batch_size=2, max_wait_s=0.0)
+        )
+        for index in range(5):
+            scheduler.offer(index, key="a", now=0.0)
+        assert scheduler.ready_batches(now=1.0, limit=0) == []
+        first = scheduler.ready_batches(now=1.0, limit=1)
+        assert [batch.entries for batch in first] == [[0, 1]]
+        assert scheduler.n_pending == 3
+        rest = scheduler.ready_batches(now=1.0, limit=5)
+        assert [batch.entries for batch in rest] == [[2, 3], [4]]
+
 
 class TestFlushAndDeadline:
     def test_flush_empties_everything(self):

@@ -120,6 +120,26 @@ class TestResizeWorkers:
         # Same seed through both pools: bitwise-identical verdict.
         assert before.verdict.score == after.verdict.score
 
+    def test_dispatch_limit_follows_resize(self, stub_shard_factory):
+        """One batch per worker: after growing 1 -> 4 workers, four
+        0.1 s requests run side by side instead of one after another."""
+        import time
+
+        service = stub_shard_factory(
+            service_time_s=0.1, max_batch_size=1
+        )("shard-0").service
+        with service:
+            service.resize_workers(4)
+            start = time.monotonic()
+            futures = [
+                service.submit(make_request(seed)) for seed in range(4)
+            ]
+            assert all(
+                future.result().status is RequestStatus.SERVED
+                for future in futures
+            )
+            assert time.monotonic() - start < 0.3
+
     def test_resize_to_current_size_is_noop(self, fast_spec):
         with VerificationService(
             fast_spec, ServiceConfig(n_workers=2)
@@ -242,6 +262,86 @@ class TestBackpressure:
         assert metrics.n_rejected == rejected
         assert metrics.n_served == len(responses)
         assert metrics.n_submitted == 30
+
+    def test_sustained_overload_is_rejected_at_the_queue(self, fast_spec):
+        """The backlog waits in the bounded queue, not in the executor:
+        arrivals faster than one worker serves fill the queue, so the
+        reject policy fires and the queue depth is visible."""
+        import time
+
+        config = ServiceConfig(
+            n_workers=1,
+            queue_capacity=4,
+            backpressure="reject",
+            max_batch_size=1,
+        )
+        with VerificationService(fast_spec, config) as service:
+            futures = []
+            rejected = 0
+            max_depth = 0
+            for seed in range(40):
+                try:
+                    futures.append(service.submit(make_request(seed)))
+                except ServiceOverloadError:
+                    rejected += 1
+                max_depth = max(max_depth, service.metrics().queue_depth)
+                time.sleep(0.001)
+            responses = [future.result() for future in futures]
+        metrics = service.metrics()
+        assert rejected > 0
+        assert max_depth > 0
+        assert metrics.n_rejected == rejected
+        assert metrics.n_resolved == metrics.n_submitted == 40
+        assert all(
+            response.status is RequestStatus.SERVED
+            for response in responses
+        )
+
+    def test_inflight_batches_never_exceed_workers(self, stub_shard_factory):
+        """Stress: more workers than cores, a short switch interval and
+        shed-oldest overload; the scheduler never has more batches in
+        flight than workers, and every request resolves exactly once."""
+        import sys
+        import threading
+
+        service = stub_shard_factory(
+            service_time_s=0.002,
+            n_workers=4,
+            queue_capacity=8,
+            max_batch_size=2,
+            backpressure="shed-oldest",
+        )("shard-0").service
+        peak = []
+        done = threading.Event()
+
+        def sample():
+            while not done.is_set():
+                with service._inflight_lock:
+                    peak.append(len(service._inflight))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        sampler = threading.Thread(target=sample, daemon=True)
+        try:
+            with service:
+                sampler.start()
+                futures = [
+                    service.submit(make_request(seed))
+                    for seed in range(200)
+                ]
+                statuses = [
+                    future.result(timeout=30).status for future in futures
+                ]
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        sampler.join(timeout=5)
+        assert not sampler.is_alive()
+        assert max(peak) <= 4
+        assert RequestStatus.SHED in statuses
+        metrics = service.metrics()
+        assert metrics.n_resolved == metrics.n_submitted == 200
+        assert metrics.n_served + metrics.n_shed == 200
 
     def test_shed_policy_resolves_shed_futures(self, fast_spec):
         config = ServiceConfig(
