@@ -27,8 +27,10 @@ smoke:
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 --workers 2
 
 # Serving smoke: a tiny closed-loop run against the warm-pool service.
-# The command exits non-zero on any failed request, and the metrics
-# table (latency percentiles per stage) prints on stdout.
+# The command exits non-zero on any failed request, on any request the
+# service left unresolved, or when the service's served / rejected /
+# shed / failed counts differ from the client's; the metrics table
+# (latency percentiles per stage) prints on stdout.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
 		--requests 12 --concurrency 4 --seed 0
@@ -47,13 +49,14 @@ store-smoke:
 	$(PYTHON) -m repro store verify --dir $(STORE_SMOKE_DIR)
 
 # Runtime smoke: the unified execution layer.  Unit tests cover the
-# fallback ladder, retries, StageEvent plumbing, and the shared
-# percentile helper; then a 2-worker campaign and a 2-worker serve
-# run must both succeed under the thread AND process executors (the
-# campaign score set is bitwise identical across all of them).
+# fallback ladder, StageEvent plumbing, the metrics surface built on
+# it, and the shared percentile helper; then a 2-worker campaign and a
+# 2-worker serve run must both succeed under the thread AND process
+# executors (the campaign score set is bitwise identical across all of
+# them).
 runtime-smoke:
 	$(PYTHON) -m pytest tests/test_runtime.py tests/test_runtime_events.py \
-		tests/test_utils_stats.py -q
+		tests/test_metrics_surface.py tests/test_utils_stats.py -q
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
 		--workers 2 --executor thread
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \

@@ -681,11 +681,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
+    # Build the request material before the service starts, so its
+    # metrics clock measures serving only.
+    pool = build_recording_pool(
+        seed=args.seed, pool_size=min(args.requests, 6)
+    )
     print(f"Warming {config.n_workers} worker(s)...")
     with VerificationService(spec, config) as service:
-        pool = build_recording_pool(
-            seed=args.seed, pool_size=min(args.requests, 6)
-        )
         report = run_loadgen(service, selftest, pool=pool)
         metrics = service.metrics()
         print(
@@ -694,15 +696,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         _print_store_report(spec, service)
     print(format_service_metrics(metrics))
-    return 1 if report.n_failed else 0
+    return _exit_code(report, metrics)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
-    from repro.eval.reporting import format_service_metrics
+    from repro.eval.reporting import (
+        format_loadgen_report,
+        format_service_metrics,
+    )
     from repro.serve import (
         LoadgenConfig,
         VerificationService,
+        build_recording_pool,
         run_loadgen,
     )
 
@@ -721,31 +727,44 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
+    # Build the request material before the service starts, so its
+    # metrics clock measures serving only.
+    pool = build_recording_pool(
+        seed=loadgen_config.seed,
+        pool_size=loadgen_config.pool_size,
+        attack_fraction=loadgen_config.attack_fraction,
+    )
     print(f"Warming {config.n_workers} worker(s)...")
     with VerificationService(spec, config) as service:
-        report = run_loadgen(service, loadgen_config)
+        report = run_loadgen(service, loadgen_config, pool=pool)
         metrics = service.metrics()
         store_report_args = (spec, service)
-    degraded = (
-        f" ({report.n_degraded} degraded)" if report.n_degraded else ""
-    )
-    print(
-        f"loadgen[{report.mode}]: {report.n_issued} issued, "
-        f"{report.n_served} served{degraded}, "
-        f"{report.n_rejected} rejected, {report.n_shed} shed, "
-        f"{report.n_failed} failed in {report.wall_s:.2f}s "
-        f"({report.throughput_rps:.2f} req/s)"
-    )
+    print(format_loadgen_report(report, f"loadgen[{report.mode}]"))
     _print_store_report(*store_report_args)
-    if report.latencies_s:
-        print(
-            "latency p50/p95/p99: "
-            f"{report.latency_percentile(50) * 1e3:.1f} / "
-            f"{report.latency_percentile(95) * 1e3:.1f} / "
-            f"{report.latency_percentile(99) * 1e3:.1f} ms"
-        )
     print(format_service_metrics(metrics))
-    return 1 if report.n_failed else 0
+    return _exit_code(report, metrics)
+
+
+def _exit_code(report, metrics) -> int:
+    """Fail closed: exit 1 on any failed request, on a request the
+    service left unresolved, or on a terminal count where the service's
+    accounting and the client's disagree."""
+    errors = []
+    if metrics.n_resolved != metrics.n_submitted:
+        errors.append(
+            f"service resolved {metrics.n_resolved} of "
+            f"{metrics.n_submitted} submitted request(s)"
+        )
+    for outcome in ("served", "rejected", "shed", "failed"):
+        ours = getattr(metrics, f"n_{outcome}")
+        theirs = getattr(report, f"n_{outcome}")
+        if ours != theirs:
+            errors.append(
+                f"service counted {ours} {outcome}, client {theirs}"
+            )
+    for error in errors:
+        print(f"error: {error}")
+    return 1 if report.n_failed or errors else 0
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

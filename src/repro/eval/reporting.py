@@ -7,9 +7,11 @@ dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.runtime import LatencySummary
 
 
 def format_table(
@@ -83,6 +85,54 @@ def format_roc_summary(
     return format_table(headers, rows, title=title)
 
 
+def ordered_stages(stages: Iterable[str]) -> List[str]:
+    """Stage names in pipeline order: the
+    :data:`~repro.core.pipeline.PIPELINE_STAGES` present in
+    ``stages`` first, then any others sorted by name."""
+    from repro.core.pipeline import PIPELINE_STAGES
+
+    present = set(stages)
+    pipeline = [stage for stage in PIPELINE_STAGES if stage in present]
+    return pipeline + sorted(present.difference(PIPELINE_STAGES))
+
+
+def _stage_rows(
+    summaries: Mapping[str, LatencySummary]
+) -> List[Tuple[str, Optional[LatencySummary]]]:
+    """``(stage, summary)`` latency-table rows in pipeline order."""
+    return [(stage, summaries[stage]) for stage in ordered_stages(summaries)]
+
+
+def format_latency_table(
+    rows: Iterable[Tuple[str, Optional[LatencySummary]]],
+    title: str = "latency percentiles",
+) -> str:
+    """The one latency table: a ``stage | n | p50 ms | p95 ms | p99 ms``
+    row per ``(label, summary)``; rows without a summary are skipped,
+    and no rows renders as the empty string."""
+    rendered = [
+        (
+            label,
+            summary.count,
+            f"{summary.p50_s * 1e3:.1f}",
+            f"{summary.p95_s * 1e3:.1f}",
+            f"{summary.p99_s * 1e3:.1f}",
+        )
+        for label, summary in rows
+        if summary is not None
+    ]
+    if not rendered:
+        return ""
+    return format_table(
+        ["stage", "n", "p50 ms", "p95 ms", "p99 ms"], rendered, title=title
+    )
+
+
+def format_fallbacks(counts: Mapping[str, int]) -> str:
+    """``stage:fallback xN`` pairs, sorted by key."""
+    return ", ".join(f"{key} x{n}" for key, n in sorted(counts.items()))
+
+
 def format_runner_stats(stats, max_units: int = 12) -> str:
     """Render a :class:`repro.eval.runner.CampaignStats` block.
 
@@ -104,21 +154,19 @@ def format_runner_stats(stats, max_units: int = 12) -> str:
             f"unit work {stats.unit_wall_s:.2f}s -> speedup "
             f"{stats.unit_wall_s / stats.wall_s:.2f}x"
         )
-    stage_totals = getattr(stats, "stage_totals", None) or {}
+    stage_totals = stats.stage_totals
     if stage_totals:
-        from repro.core.pipeline import PIPELINE_STAGES
-
-        ordered = [
-            stage for stage in PIPELINE_STAGES if stage in stage_totals
-        ] + [
-            stage for stage in sorted(stage_totals)
-            if stage not in PIPELINE_STAGES
-        ]
         lines.append(
             "stages: "
             + ", ".join(
                 f"{stage} {stage_totals[stage]:.2f}s"
-                for stage in ordered
+                for stage in ordered_stages(stage_totals)
+            )
+        )
+        lines.append(
+            format_latency_table(
+                _stage_rows(stats.stage_latency),
+                title="per-unit stage time percentiles",
             )
         )
     units = sorted(stats.units, key=lambda u: u.wall_s, reverse=True)
@@ -175,7 +223,7 @@ def format_service_metrics(metrics) -> str:
             f"{metrics.throughput_rps:.2f} req/s"
         ),
     ]
-    controller = getattr(metrics, "batch_controller", None)
+    controller = metrics.batch_controller
     if controller is not None:
         p95 = controller.rolling_p95_s
         p95_text = f"{p95 * 1e3:.1f} ms" if p95 == p95 else "n/a"
@@ -185,51 +233,44 @@ def format_service_metrics(metrics) -> str:
             f"({controller.n_decisions} decisions); "
             f"rolling p95 {p95_text}"
         )
-    stage_fallbacks = getattr(metrics, "stage_fallbacks", None) or {}
-    if stage_fallbacks:
+    if metrics.stage_fallbacks:
         lines.append(
-            "fallbacks: "
-            + ", ".join(
-                f"{key} x{count}"
-                for key, count in sorted(stage_fallbacks.items())
-            )
+            f"fallbacks: {format_fallbacks(metrics.stage_fallbacks)}"
         )
-    rows = []
+    table = format_latency_table(
+        _stage_rows(metrics.stage_latency)
+        + [
+            ("queue-wait", metrics.queue_wait),
+            ("total", metrics.total_latency),
+        ]
+    )
+    if table:
+        lines.append(table)
+    return "\n".join(lines)
 
-    def add_row(label, summary):
-        if summary is None:
-            return
-        rows.append(
-            (
-                label,
-                summary.count,
-                f"{summary.p50_s * 1e3:.1f}",
-                f"{summary.p95_s * 1e3:.1f}",
-                f"{summary.p99_s * 1e3:.1f}",
-            )
-        )
 
-    from repro.core.pipeline import PIPELINE_STAGES
-
-    ordered = [
-        stage for stage in PIPELINE_STAGES
-        if stage in metrics.stage_latency
-    ] + [
-        stage for stage in sorted(metrics.stage_latency)
-        if stage not in PIPELINE_STAGES
+def format_loadgen_report(report, label: str) -> str:
+    """Render a :class:`repro.serve.loadgen.LoadgenReport`: one
+    headline of client-side tallies plus the client latency table."""
+    degraded = (
+        f" ({report.n_degraded} degraded)" if report.n_degraded else ""
+    )
+    rerouted = (
+        f", {report.n_rerouted} rerouted" if report.n_rerouted else ""
+    )
+    lines = [
+        f"{label}: {report.n_issued} issued, "
+        f"{report.n_served} served{degraded}{rerouted}, "
+        f"{report.n_rejected} rejected, {report.n_shed} shed, "
+        f"{report.n_failed} failed in {report.wall_s:.2f}s "
+        f"({report.throughput_rps:.2f} req/s)"
     ]
-    for stage in ordered:
-        add_row(stage, metrics.stage_latency[stage])
-    add_row("queue-wait", metrics.queue_wait)
-    add_row("total", metrics.total_latency)
-    if rows:
-        lines.append(
-            format_table(
-                ["stage", "n", "p50 ms", "p95 ms", "p99 ms"],
-                rows,
-                title="latency percentiles",
-            )
-        )
+    table = format_latency_table(
+        [("client", report.latency)],
+        title="client latency p50/p95/p99",
+    )
+    if table:
+        lines.append(table)
     return "\n".join(lines)
 
 

@@ -54,8 +54,11 @@ from repro.runtime import (
     PROCESS,
     THREAD,
     FallbackPolicy,
+    LatencySummary,
     Runtime,
     ShmTransport,
+    StageEvent,
+    StageEventAggregator,
     capture_stage_events,
     validate_kind,
 )
@@ -93,13 +96,18 @@ class CampaignStats:
     ``wall_s`` is the caller-observed (outer) wall clock; the per-unit
     walls in ``units`` are measured inside the executing process, so in
     parallel runs their sum exceeds ``wall_s`` — the ratio is the
-    realized speedup.
+    realized speedup.  ``events`` holds one ``scope="pipeline"`` event
+    per (unit, stage) with the unit's summed stage seconds, in unit
+    order.
     """
 
     n_workers: int
     mode: str
     wall_s: float = 0.0
     units: List[UnitStats] = field(default_factory=list)
+    events: StageEventAggregator = field(
+        default_factory=StageEventAggregator
+    )
 
     @property
     def n_units(self) -> int:
@@ -126,11 +134,12 @@ class CampaignStats:
     @property
     def stage_totals(self) -> Dict[str, float]:
         """Summed per-stage pipeline seconds across all units."""
-        totals: Dict[str, float] = {}
-        for unit in self.units:
-            for stage, seconds in unit.stage_s.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-        return totals
+        return self.events.stage_totals()
+
+    @property
+    def stage_latency(self) -> Dict[str, LatencySummary]:
+        """Per-stage percentiles of the units' summed stage seconds."""
+        return self.events.summarize()
 
 
 @dataclass(frozen=True)
@@ -263,11 +272,15 @@ class CampaignRunner:
             outputs = runtime.map_units(_score_unit_in_worker, units)
         finally:
             runtime.shutdown()
+        stats = CampaignStats(
+            n_workers=workers,
+            mode=self._mode_label(workers, runtime),
+            wall_s=time.perf_counter() - start,
+        )
         score_sets: List[ScoreSet] = []
-        unit_stats: List[UnitStats] = []
         for unit, (scores, wall_s, stage_s) in zip(units, outputs):
             score_sets.append(scores)
-            unit_stats.append(
+            stats.units.append(
                 UnitStats(
                     label=unit.label,
                     wall_s=wall_s,
@@ -275,12 +288,12 @@ class CampaignRunner:
                     stage_s=stage_s,
                 )
             )
-        stats = CampaignStats(
-            n_workers=workers,
-            mode=self._mode_label(workers, runtime),
-            wall_s=time.perf_counter() - start,
-            units=unit_stats,
-        )
+            stats.events.extend(
+                StageEvent(
+                    stage=stage, wall_s=seconds, batch_size=unit.n_samples
+                )
+                for stage, seconds in stage_s.items()
+            )
         return score_sets, stats
 
     # ------------------------------------------------------------------

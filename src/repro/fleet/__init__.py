@@ -17,13 +17,11 @@ from repro.fleet.frontdoor import (
 from repro.fleet.hashing import DEFAULT_VNODES, ConsistentHashRing
 from repro.fleet.loadgen import (
     FleetLoadgenConfig,
-    FleetLoadgenReport,
     make_fleet_request,
     run_fleet_loadgen,
 )
 from repro.fleet.metrics import (
     FleetMetrics,
-    FleetMetricsCollector,
     ShardStatus,
     format_fleet_metrics,
 )
@@ -56,9 +54,7 @@ __all__ = [
     "FleetConfig",
     "FleetFrontDoor",
     "FleetLoadgenConfig",
-    "FleetLoadgenReport",
     "FleetMetrics",
-    "FleetMetricsCollector",
     "FleetRequest",
     "FleetResponse",
     "ProfileCache",

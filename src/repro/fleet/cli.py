@@ -172,26 +172,10 @@ def _build_front_door(args: argparse.Namespace):
 
 
 def _print_outcome(report, metrics) -> int:
+    from repro.eval.reporting import format_loadgen_report
     from repro.fleet.metrics import format_fleet_metrics
 
-    degraded = (
-        f" ({report.n_degraded} degraded)" if report.n_degraded else ""
-    )
-    print(
-        f"fleet: {report.n_issued} issued, "
-        f"{report.n_served} served{degraded}, "
-        f"{report.n_rerouted} rerouted, "
-        f"{report.n_rejected} rejected, {report.n_shed} shed, "
-        f"{report.n_failed} failed in {report.wall_s:.2f}s "
-        f"({report.throughput_rps:.2f} req/s)"
-    )
-    if report.latencies_s:
-        print(
-            "latency p50/p95/p99: "
-            f"{report.latency_percentile(50) * 1e3:.1f} / "
-            f"{report.latency_percentile(95) * 1e3:.1f} / "
-            f"{report.latency_percentile(99) * 1e3:.1f} ms"
-        )
+    print(format_loadgen_report(report, "fleet"))
     print(format_fleet_metrics(metrics))
     if metrics.n_unresolved != 0:
         print(
@@ -204,17 +188,25 @@ def _print_outcome(report, metrics) -> int:
 
 def _run(args: argparse.Namespace, loadgen_config) -> int:
     from repro.fleet.loadgen import run_fleet_loadgen
+    from repro.serve.loadgen import build_recording_pool
 
     try:
         front_door = _build_front_door(args)
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
+    # Build the request material before the fleet starts, so its
+    # metrics clock measures serving only.
+    pool = build_recording_pool(
+        seed=loadgen_config.seed,
+        pool_size=loadgen_config.pool_size,
+        attack_fraction=loadgen_config.attack_fraction,
+    )
     print(
         f"Starting {args.shards} shard(s) x {args.workers} worker(s) "
         f"({args.segmenter} segmenter)..."
     )
     with front_door:
-        report = run_fleet_loadgen(front_door, loadgen_config)
+        report = run_fleet_loadgen(front_door, loadgen_config, pool=pool)
         metrics = front_door.metrics()
     return _print_outcome(report, metrics)
 

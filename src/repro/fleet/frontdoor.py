@@ -42,10 +42,11 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.fleet.hashing import DEFAULT_VNODES, ConsistentHashRing
-from repro.fleet.metrics import FleetMetrics, FleetMetricsCollector
+from repro.fleet.metrics import FLEET_SCOPE, FleetMetrics
 from repro.fleet.profiles import UserProfile
 from repro.fleet.shard import ServiceShard
 from repro.fleet.slo import SheddingPolicy, SloConfig
+from repro.runtime import StageEvent, StageEventAggregator
 from repro.serve.request import (
     RequestStatus,
     VerificationRequest,
@@ -71,7 +72,7 @@ class FleetConfig:
         Fleet-wide deadline applied to requests that carry none.
     deadline_grace_s:
         Extra wait past the deadline before the front door gives up
-        on an in-flight request.  Engines degrade late requests
+        on an in-flight request.  Services degrade late requests
         rather than drop them, so a small grace converts most
         would-be timeouts into (degraded) verdicts.
     slo:
@@ -162,7 +163,7 @@ class FleetResponse:
 
     ``total_s`` is the caller-observed latency (routing, queueing,
     failover and profile application included).  ``retry_after_s`` is
-    set on every refusal (SLO shed, engine shed, rejection, fleet
+    set on every refusal (SLO shed, queue shed, rejection, fleet
     deadline) so callers can back off instead of hammering a hot
     shard.
     """
@@ -206,7 +207,9 @@ class FleetFrontDoor:
         self._shard_factory = shard_factory
         self.shards: Dict[str, ServiceShard] = {}
         self.ring = ConsistentHashRing(vnodes=self.config.vnodes)
-        self.collector = FleetMetricsCollector()
+        #: Fleet-level ``scope="fleet"`` outcome events (see
+        #: :mod:`repro.fleet.metrics`).
+        self.events = StageEventAggregator()
         self._shedder = SheddingPolicy(self.config.slo)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -252,6 +255,7 @@ class FleetFrontDoor:
                         self._start_autoscale_task(), self._loop
                     ).result()
                 )
+            self.events.start_clock()
             self._started = True
             self._accepting = True
 
@@ -344,7 +348,13 @@ class FleetFrontDoor:
 
     def metrics(self) -> FleetMetrics:
         """Fleet snapshot with per-shard rollups."""
-        return self.collector.snapshot(self.shards)
+        return FleetMetrics.from_events(self.events, self.shards)
+
+    def _record(self, stage: str, wall_s: float = 0.0) -> None:
+        """Record one ``scope="fleet"`` event."""
+        self.events.emit(
+            StageEvent(stage=stage, wall_s=wall_s, scope=FLEET_SCOPE)
+        )
 
     # ------------------------------------------------------------------
     # In-flight tracking
@@ -374,7 +384,7 @@ class FleetFrontDoor:
 
     async def _route(self, request: FleetRequest) -> FleetResponse:
         start = time.monotonic()
-        self.collector.record_routed()
+        self._record("routed")
         config = self.config
         deadline_s = (
             request.deadline_s
@@ -390,7 +400,7 @@ class FleetFrontDoor:
             if not shard.available:
                 continue
             if self._shedder.should_shed(shard.window, request.priority):
-                self.collector.record_shed_slo()
+                self._record("shed-slo")
                 return FleetResponse(
                     request_id=request.request_id,
                     user_id=request.user_id,
@@ -420,9 +430,9 @@ class FleetFrontDoor:
                 wearer_moving=request.wearer_moving,
             )
             try:
-                engine_future = shard.submit(verification)
+                shard_future = shard.submit(verification)
             except ServiceOverloadError as error:
-                self.collector.record_rejected()
+                self._record("rejected")
                 return FleetResponse(
                     request_id=request.request_id,
                     user_id=request.user_id,
@@ -443,17 +453,17 @@ class FleetFrontDoor:
                 )
             try:
                 # shield(): a fleet timeout must not cancel the
-                # engine-side future — the worker that picked the
+                # service-side future — the worker that picked the
                 # request up will still resolve it (and a cancelled
                 # concurrent future would blow up its set_result).
                 response = await asyncio.wait_for(
                     asyncio.shield(
-                        asyncio.wrap_future(engine_future)
+                        asyncio.wrap_future(shard_future)
                     ),
                     timeout,
                 )
             except asyncio.TimeoutError:
-                self.collector.record_failed()
+                self._record("failed")
                 return FleetResponse(
                     request_id=request.request_id,
                     user_id=request.user_id,
@@ -475,7 +485,7 @@ class FleetFrontDoor:
                 start=start,
             )
         # Preference walk exhausted: every candidate shard was down.
-        self.collector.record_rejected()
+        self._record("rejected")
         return FleetResponse(
             request_id=request.request_id,
             user_id=request.user_id,
@@ -515,17 +525,16 @@ class FleetFrontDoor:
                 verdict, is_attack=profile.decide(verdict.score)
             )
         if response.status is RequestStatus.SERVED:
-            self.collector.record_served(
-                total_s=total_s,
-                degraded=response.degraded,
-                rerouted=rerouted,
-            )
+            self._record("served", total_s)
+            if response.degraded:
+                self._record("degraded")
+            if rerouted:
+                self._record("rerouted")
             retry_after = None
-        elif response.status is RequestStatus.SHED:
-            self.collector.record_shed_engine()
-            retry_after = self.config.slo.retry_after_s
         else:
-            self.collector.record_failed()
+            # A shard's shed-oldest queue evicted it ("shed"), or it
+            # failed there ("failed").
+            self._record(response.status.value)
             retry_after = self.config.slo.retry_after_s
         return FleetResponse(
             request_id=request.request_id,

@@ -16,21 +16,20 @@ stream, arrival schedule, and request seeds are fully reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.fleet.frontdoor import FleetFrontDoor, FleetRequest, FleetResponse
+from repro.fleet.frontdoor import FleetFrontDoor, FleetRequest
 from repro.serve.loadgen import (
+    LoadgenReport,
     RecordingPool,
     UserActivityModel,
     build_recording_pool,
 )
-from repro.serve.request import RequestStatus
 from repro.utils.rng import derive_seed
-from repro.utils.stats import percentile as _shared_percentile
 
 
 @dataclass
@@ -111,54 +110,6 @@ class FleetLoadgenConfig:
         )
 
 
-@dataclass
-class FleetLoadgenReport:
-    """Client-side tallies of one fleet loadgen run.
-
-    ``n_issued == n_served + n_rejected + n_shed + n_failed`` holds
-    after :func:`run_fleet_loadgen` returns — every accepted request
-    resolves exactly once (the integration suite pins this through a
-    mid-run shard failure).
-    """
-
-    n_issued: int = 0
-    n_served: int = 0
-    n_degraded: int = 0
-    n_rerouted: int = 0
-    n_rejected: int = 0
-    n_shed: int = 0
-    n_failed: int = 0
-    wall_s: float = 0.0
-    latencies_s: List[float] = field(default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Served requests per second of loadgen wall clock."""
-        if self.wall_s <= 0:
-            return 0.0
-        return self.n_served / self.wall_s
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Caller-observed latency percentile over served requests."""
-        return _shared_percentile(self.latencies_s, percentile)
-
-    def account(self, response: FleetResponse) -> None:
-        """Fold one fleet response into the tallies."""
-        if response.status is RequestStatus.SERVED:
-            self.n_served += 1
-            if response.degraded:
-                self.n_degraded += 1
-            if response.rerouted:
-                self.n_rerouted += 1
-            self.latencies_s.append(response.total_s)
-        elif response.status is RequestStatus.SHED:
-            self.n_shed += 1
-        elif response.status is RequestStatus.REJECTED:
-            self.n_rejected += 1
-        else:
-            self.n_failed += 1
-
-
 def make_fleet_request(
     config: FleetLoadgenConfig,
     pool: RecordingPool,
@@ -190,13 +141,14 @@ def run_fleet_loadgen(
     front_door: FleetFrontDoor,
     config: Optional[FleetLoadgenConfig] = None,
     pool: Optional[RecordingPool] = None,
-) -> FleetLoadgenReport:
+) -> LoadgenReport:
     """Drive a started front door with Zipf-user heavy-tailed traffic.
 
     Open-loop: request ``index`` is issued at the cumulative sum of
     the model's Pareto gaps, regardless of completions.  Returns the
-    client-side report; compare with ``front_door.metrics()`` for the
-    fleet-side view (their terminal counts agree request-for-request).
+    client-side report (its ``n_rerouted`` counts failover answers);
+    compare with ``front_door.metrics()`` for the fleet-side view (their
+    terminal counts agree request-for-request).
     """
     config = config or FleetLoadgenConfig()
     pool = pool or build_recording_pool(
@@ -205,7 +157,7 @@ def run_fleet_loadgen(
         attack_fraction=config.attack_fraction,
     )
     users = config.user_model()
-    report = FleetLoadgenReport()
+    report = LoadgenReport(mode="open")
     futures = []
     start = time.monotonic()
     next_at = start
@@ -217,7 +169,7 @@ def run_fleet_loadgen(
         if delay > 0:
             time.sleep(delay)
         request = make_fleet_request(config, pool, users, index)
-        report.n_issued += 1
+        report.record("issued")
         futures.append(front_door.submit_threadsafe(request))
     for future in futures:
         report.account(future.result())

@@ -1,11 +1,15 @@
 """Fleet-wide metrics: front-door accounting + per-shard rollups.
 
-The front door owns a :class:`FleetMetricsCollector` that counts every
-request's fleet-level outcome (served, rerouted, SLO-shed, rejected
-with retry-after, failed) and samples end-to-end latency as seen by
-the *caller* — queueing, failover walks and profile application
-included, which is the latency the SLO is written against.  A
-:meth:`~FleetMetricsCollector.snapshot` folds in each shard's own
+The front door records every request's fleet-level outcome into a
+:class:`~repro.runtime.StageEventAggregator` as ``scope="fleet"``
+events: ``routed`` on entry, then one of ``served`` (with ``degraded``
+/ ``rerouted`` flags), ``shed-slo``, ``shed`` (evicted by a shard's
+``shed-oldest`` queue), ``rejected`` (with retry-after) or ``failed``.
+A served event's wall time is the latency the *caller* saw —
+queueing, failover walks and profile application included, which is
+the latency the SLO is written against.
+:meth:`FleetMetrics.from_events` computes the snapshot from those
+events and folds in each shard's own
 :class:`~repro.serve.metrics.ServiceMetrics`, rolling SLO window,
 profile-cache counters, and applied scale events, so one
 :class:`FleetMetrics` value answers both "is the fleet healthy" and
@@ -14,12 +18,20 @@ profile-cache counters, and applied scale events, so one
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
-from repro.serve.metrics import LatencySummary, ServiceMetrics
+from repro.eval.reporting import format_fallbacks, format_latency_table
+from repro.runtime import StageEventAggregator
+from repro.serve.metrics import (
+    LatencySummary,
+    ServiceMetrics,
+    count,
+    latency,
+)
+
+#: Scope of the events the front door records.
+FLEET_SCOPE = "fleet"
 
 
 @dataclass(frozen=True)
@@ -49,17 +61,18 @@ class FleetMetrics:
     n_rerouted:
         Served requests that were answered by a failover shard, not
         their ring owner.
-    n_shed_slo / n_shed_engine:
-        Refused before dispatch by the SLO valve vs. evicted by an
-        engine's ``shed-oldest`` queue.
+    n_shed_slo / n_shed_queue:
+        Refused before dispatch by the SLO valve vs. evicted by a
+        shard's ``shed-oldest`` queue.
     n_rejected:
-        Refused with a retry-after hint (engine queue full, or no
+        Refused with a retry-after hint (shard queue full, or no
         available shard on the preference walk).
     n_failed:
-        Fleet-level failures (deadline exceeded fleet-wide, engine
+        Fleet-level failures (deadline exceeded fleet-wide, shard
         errors).
     wall_s / throughput_rps:
-        Time since the collector started and served requests/second.
+        Time since the front door started (shard warm-up excluded)
+        and served requests/second.
     latency:
         Caller-observed end-to-end percentiles over served requests.
     shards:
@@ -73,7 +86,7 @@ class FleetMetrics:
     n_degraded: int
     n_rerouted: int
     n_shed_slo: int
-    n_shed_engine: int
+    n_shed_queue: int
     n_rejected: int
     n_failed: int
     wall_s: float
@@ -88,7 +101,7 @@ class FleetMetrics:
         return (
             self.n_served
             + self.n_shed_slo
-            + self.n_shed_engine
+            + self.n_shed_queue
             + self.n_rejected
             + self.n_failed
         )
@@ -99,59 +112,13 @@ class FleetMetrics:
         after a drained shutdown — the smoke target asserts on it)."""
         return self.n_routed - self.n_resolved
 
-
-class FleetMetricsCollector:
-    """Thread-safe accumulator behind the front door."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._started_at = time.monotonic()
-        self.n_routed = 0
-        self.n_served = 0
-        self.n_degraded = 0
-        self.n_rerouted = 0
-        self.n_shed_slo = 0
-        self.n_shed_engine = 0
-        self.n_rejected = 0
-        self.n_failed = 0
-        self._latencies: List[float] = []
-
-    def record_routed(self) -> None:
-        with self._lock:
-            self.n_routed += 1
-
-    def record_served(
-        self,
-        total_s: float,
-        degraded: bool = False,
-        rerouted: bool = False,
-    ) -> None:
-        with self._lock:
-            self.n_served += 1
-            if degraded:
-                self.n_degraded += 1
-            if rerouted:
-                self.n_rerouted += 1
-            self._latencies.append(float(total_s))
-
-    def record_shed_slo(self) -> None:
-        with self._lock:
-            self.n_shed_slo += 1
-
-    def record_shed_engine(self) -> None:
-        with self._lock:
-            self.n_shed_engine += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.n_rejected += 1
-
-    def record_failed(self) -> None:
-        with self._lock:
-            self.n_failed += 1
-
-    def snapshot(self, shards: Mapping[str, object] = ()) -> FleetMetrics:
-        """Freeze the fleet counters, folding in per-shard status.
+    @classmethod
+    def from_events(
+        cls,
+        events: StageEventAggregator,
+        shards: Mapping[str, object] = (),
+    ) -> "FleetMetrics":
+        """The fleet snapshot, folding in per-shard status.
 
         ``shards`` maps shard id to a
         :class:`~repro.fleet.shard.ServiceShard` (typed loosely to
@@ -161,8 +128,8 @@ class FleetMetricsCollector:
         fallbacks: Dict[str, int] = {}
         for shard_id, shard in dict(shards).items():
             service = shard.metrics()
-            for key, count in service.stage_fallbacks.items():
-                fallbacks[key] = fallbacks.get(key, 0) + count
+            for key, n in service.stage_fallbacks.items():
+                fallbacks[key] = fallbacks.get(key, 0) + n
             statuses[shard_id] = ShardStatus(
                 shard_id=shard_id,
                 available=shard.available,
@@ -173,25 +140,24 @@ class FleetMetricsCollector:
                 profile_cache=shard.profiles.stats(),
                 service=service,
             )
-        with self._lock:
-            wall_s = time.monotonic() - self._started_at
-            return FleetMetrics(
-                n_routed=self.n_routed,
-                n_served=self.n_served,
-                n_degraded=self.n_degraded,
-                n_rerouted=self.n_rerouted,
-                n_shed_slo=self.n_shed_slo,
-                n_shed_engine=self.n_shed_engine,
-                n_rejected=self.n_rejected,
-                n_failed=self.n_failed,
-                wall_s=wall_s,
-                throughput_rps=(
-                    self.n_served / wall_s if wall_s > 0 else 0.0
-                ),
-                latency=LatencySummary.from_samples(self._latencies),
-                shards=statuses,
-                stage_fallbacks=dict(fallbacks),
-            )
+        fleet = events.grouped(FLEET_SCOPE)
+        n_served = count(fleet, "served")
+        wall_s = events.wall_s
+        return cls(
+            n_routed=count(fleet, "routed"),
+            n_served=n_served,
+            n_degraded=count(fleet, "degraded"),
+            n_rerouted=count(fleet, "rerouted"),
+            n_shed_slo=count(fleet, "shed-slo"),
+            n_shed_queue=count(fleet, "shed"),
+            n_rejected=count(fleet, "rejected"),
+            n_failed=count(fleet, "failed"),
+            wall_s=wall_s,
+            throughput_rps=n_served / wall_s if wall_s > 0 else 0.0,
+            latency=latency(fleet, "served"),
+            shards=statuses,
+            stage_fallbacks=fallbacks,
+        )
 
 
 def format_fleet_metrics(metrics: FleetMetrics) -> str:
@@ -206,7 +172,7 @@ def format_fleet_metrics(metrics: FleetMetrics) -> str:
         ),
         (
             f"  refused     shed-slo {metrics.n_shed_slo}, "
-            f"shed-engine {metrics.n_shed_engine}, "
+            f"shed-queue {metrics.n_shed_queue}, "
             f"rejected {metrics.n_rejected}, "
             f"failed {metrics.n_failed}"
         ),
@@ -216,13 +182,6 @@ def format_fleet_metrics(metrics: FleetMetrics) -> str:
             f"over {metrics.wall_s:.2f}s"
         ),
     ]
-    if metrics.latency is not None:
-        lines.append(
-            f"  latency     p50 {metrics.latency.p50_s * 1e3:.1f} ms"
-            f"  p95 {metrics.latency.p95_s * 1e3:.1f} ms"
-            f"  p99 {metrics.latency.p99_s * 1e3:.1f} ms"
-            f"  (n={metrics.latency.count})"
-        )
     for shard_id in sorted(metrics.shards):
         status = metrics.shards[shard_id]
         cache = status.profile_cache
@@ -238,9 +197,10 @@ def format_fleet_metrics(metrics: FleetMetrics) -> str:
             f"{cache.get('misses', 0)}m"
         )
     if metrics.stage_fallbacks:
-        pairs = ", ".join(
-            f"{key}={count}"
-            for key, count in sorted(metrics.stage_fallbacks.items())
+        lines.append(
+            f"  fallbacks   {format_fallbacks(metrics.stage_fallbacks)}"
         )
-        lines.append(f"  fallbacks   {pairs}")
+    table = format_latency_table([("total", metrics.latency)])
+    if table:
+        lines.append(table)
     return "\n".join(lines)

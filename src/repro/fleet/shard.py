@@ -163,10 +163,12 @@ class ServiceShard:
         if self.autoscaler is None or not self.available:
             return None
         with self._scale_lock:
-            snapshot = self.service.metrics()
+            # The queue depth alone, not a full metrics snapshot: a
+            # snapshot is computed from every event the service has
+            # recorded, and this runs on every autoscale tick.
             load = ShardLoad(
                 n_workers=self.service.n_workers,
-                queue_depth=snapshot.queue_depth,
+                queue_depth=self.service.queue_depth,
                 rolling_p95_s=self.window.p95(),
                 window_samples=len(self.window),
             )

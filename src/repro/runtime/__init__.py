@@ -1,4 +1,4 @@
-"""Unified execution layer: executors, fallback/retry policies, and
+"""Unified execution layer: executors, the fallback policy, and
 the StageEvent observability protocol.
 
 All pool construction in the library lives here; ``core``, ``eval``,
@@ -7,11 +7,11 @@ All pool construction in the library lives here; ``core``, ``eval``,
 """
 
 from repro.runtime.events import (
+    LatencySummary,
     NullSink,
     StageEvent,
     StageEventAggregator,
     StageEventSink,
-    StageSummary,
     active_sink,
     capture_stage_events,
     emit_event,
@@ -29,7 +29,6 @@ from repro.runtime.policies import (
     PROCESS,
     THREAD,
     FallbackPolicy,
-    RetryPolicy,
     validate_kind,
 )
 from repro.runtime.shm import (
@@ -45,11 +44,11 @@ __all__ = [
     "FallbackPolicy",
     "INLINE",
     "InlineExecutor",
+    "LatencySummary",
     "NullSink",
     "POOL_ERRORS",
     "PROCESS",
     "ProcessPoolRuntime",
-    "RetryPolicy",
     "Runtime",
     "ShmLease",
     "ShmRef",
@@ -57,7 +56,6 @@ __all__ = [
     "StageEvent",
     "StageEventAggregator",
     "StageEventSink",
-    "StageSummary",
     "THREAD",
     "ThreadPoolRuntime",
     "active_sink",

@@ -3,9 +3,14 @@
 Pipeline stages, campaign units, serve workers, and the runtime's own
 fallback ladder all emit the same small frozen record: stage name, wall
 time, batch size, which fallback (if any) was taken, and the error
-class when the stage failed.  Sinks aggregate them; the same aggregate
-feeds both :class:`repro.serve.metrics.ServiceMetrics` and the campaign
-stats reporting, so a pipeline run looks identical through either lens.
+class when the stage failed.  The serving layer records request
+outcomes the same way (``scope="serve"`` for the service,
+``"fleet"`` for the front door, ``"client"`` for the load generator).
+
+A :class:`StageEventAggregator` is the one metrics collector: every
+per-layer snapshot (service, fleet, loadgen, campaign) is a view
+computed from one aggregator's events, and
+:class:`LatencySummary` is the one percentile summary they report.
 
 Events are delivered two ways, which compose:
 
@@ -22,10 +27,11 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+import time
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.utils.stats import percentile_values
+from repro.utils.stats import REPORTED_PERCENTILES, percentile_values
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class StageEvent:
         Error class name when the stage raised, else ``None``.
     scope:
         Emitting layer: ``pipeline``, ``batch``, ``runtime``,
-        ``campaign``, or ``serve``.
+        ``serve``, ``fleet``, or ``client``.
     """
 
     stage: str
@@ -83,39 +89,89 @@ class NullSink(StageEventSink):
 
 
 @dataclass(frozen=True)
-class StageSummary:
-    """Aggregate of one stage's events: count, total, percentiles."""
+class LatencySummary:
+    """p50/p95/p99 (seconds) plus count of one latency distribution."""
 
-    stage: str
     count: int
-    total_s: float
     p50_s: float
     p95_s: float
     p99_s: float
 
+    @classmethod
+    def from_samples(
+        cls, samples: Sequence[float]
+    ) -> Optional["LatencySummary"]:
+        """Summary of ``samples``, or ``None`` when there are none."""
+        if not samples:
+            return None
+        p50, p95, p99 = percentile_values(samples, REPORTED_PERCENTILES)
+        return cls(
+            count=len(samples),
+            p50_s=float(p50),
+            p95_s=float(p95),
+            p99_s=float(p99),
+        )
+
 
 class StageEventAggregator(StageEventSink):
-    """Thread-safe sink that accumulates events for later summary.
+    """Thread-safe sink that accumulates events, plus a wall clock.
 
-    The single aggregation point behind both metrics surfaces: the
-    serving layer feeds summaries into
-    :class:`~repro.serve.metrics.ServiceMetrics`, the campaign runner
-    folds per-unit totals into its stats block.
+    The one collector behind every metrics surface: the service, the
+    fleet front door, the load generator and the campaign runner each
+    record into an aggregator, and their snapshots
+    (:class:`~repro.serve.metrics.ServiceMetrics`,
+    :class:`~repro.fleet.metrics.FleetMetrics`,
+    :class:`~repro.serve.loadgen.LoadgenReport`,
+    :class:`~repro.eval.runner.CampaignStats`) are views computed from
+    its events.  The clock starts at :meth:`start_clock`, not at
+    construction, so warm-up before it is not counted as serving time.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: List[StageEvent] = []
+        self._started_at: Optional[float] = None
 
     def emit(self, event: StageEvent) -> None:
         with self._lock:
             self._events.append(event)
+
+    def extend(self, events: Iterable[StageEvent]) -> None:
+        """Emit every event of ``events`` under one lock acquisition."""
+        with self._lock:
+            self._events.extend(events)
 
     @property
     def events(self) -> List[StageEvent]:
         """Snapshot of the events observed so far."""
         with self._lock:
             return list(self._events)
+
+    def start_clock(self) -> None:
+        """Start the wall clock; later calls keep the first start."""
+        with self._lock:
+            if self._started_at is None:
+                self._started_at = time.monotonic()
+
+    @property
+    def wall_s(self) -> float:
+        """Seconds since :meth:`start_clock` (``0.0`` before it)."""
+        with self._lock:
+            started_at = self._started_at
+        if started_at is None:
+            return 0.0
+        return time.monotonic() - started_at
+
+    def grouped(
+        self, scope: Optional[str] = None
+    ) -> Dict[str, List[StageEvent]]:
+        """Events of ``scope`` (every scope when ``None``) by stage,
+        each list in emission order."""
+        groups: Dict[str, List[StageEvent]] = {}
+        for event in self.events:
+            if scope is None or event.scope == scope:
+                groups.setdefault(event.stage, []).append(event)
+        return groups
 
     def timings(self) -> Dict[str, float]:
         """``{stage: wall_s}`` of the *latest* successful event per stage.
@@ -157,23 +213,17 @@ class StageEventAggregator(StageEventSink):
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def summarize(self) -> Dict[str, StageSummary]:
-        """Per-stage count/total/percentile summary (ok events only)."""
-        samples: Dict[str, List[float]] = {}
-        for event in self.events:
-            if event.ok:
-                samples.setdefault(event.stage, []).append(event.wall_s)
-        summaries: Dict[str, StageSummary] = {}
-        for stage, walls in samples.items():
-            p50, p95, p99 = percentile_values(walls, (50.0, 95.0, 99.0))
-            summaries[stage] = StageSummary(
-                stage=stage,
-                count=len(walls),
-                total_s=float(sum(walls)),
-                p50_s=float(p50),
-                p95_s=float(p95),
-                p99_s=float(p99),
+    def summarize(
+        self, scope: Optional[str] = None
+    ) -> Dict[str, LatencySummary]:
+        """Per-stage wall-time percentiles over successful events."""
+        summaries: Dict[str, LatencySummary] = {}
+        for stage, events in self.grouped(scope).items():
+            summary = LatencySummary.from_samples(
+                [e.wall_s for e in events if e.ok]
             )
+            if summary is not None:
+                summaries[stage] = summary
         return summaries
 
 

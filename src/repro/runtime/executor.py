@@ -44,7 +44,6 @@ from repro.runtime.policies import (
     PROCESS,
     THREAD,
     FallbackPolicy,
-    RetryPolicy,
     validate_kind,
 )
 
@@ -61,46 +60,24 @@ POOL_ERRORS: Tuple[type, ...] = (
 )
 
 
-def _run_unit(
-    fn: Callable[..., Any], retry: RetryPolicy, *args: Any
-) -> Any:
-    """Run one unit with per-unit retries, raising the original error.
+def _run_unit_wrapped(fn: Callable[..., Any], *args: Any) -> Any:
+    """Run one unit in a process worker: errors become picklable.
 
-    Module-level so it pickles into spawn workers.  Retries happen here,
-    inside the worker, so a retried unit never re-crosses the pool
-    boundary.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn(*args)
-        except Exception as error:  # noqa: BLE001 - policy decides
-            if not retry.should_retry(error, attempt):
-                raise
-
-
-def _run_unit_wrapped(
-    fn: Callable[..., Any], retry: RetryPolicy, *args: Any
-) -> Any:
-    """:func:`_run_unit` for process workers: errors become picklable.
-
-    Pool-infrastructure errors pass through untouched (the parent's
-    ladder must see them as such); every other exception is re-raised
-    as a :class:`WorkerError` that is guaranteed to survive the pickle
-    trip back to the parent process.
+    Module-level so it pickles into spawn workers.  Pool-infrastructure
+    errors pass through untouched (the parent's ladder must see them as
+    such); every other exception is re-raised as a :class:`WorkerError`
+    that is guaranteed to survive the pickle trip back to the parent
+    process.
     """
     try:
-        return _run_unit(fn, retry, *args)
+        return fn(*args)
     except POOL_ERRORS:
         raise
     except Exception as error:  # noqa: BLE001 - boundary wrap
         raise WorkerError.from_exception(error) from None
 
 
-def _run_unit_shm(
-    fn: Callable[..., Any], retry: RetryPolicy, *args: Any
-) -> Any:
+def _run_unit_shm(fn: Callable[..., Any], *args: Any) -> Any:
     """:func:`_run_unit_wrapped` behind the shared-memory transport.
 
     Materializes every :class:`~repro.runtime.shm.ShmRef` in the
@@ -109,9 +86,7 @@ def _run_unit_shm(
     """
     from repro.runtime.shm import decode_payload
 
-    return _run_unit_wrapped(
-        fn, retry, *[decode_payload(arg) for arg in args]
-    )
+    return _run_unit_wrapped(fn, *[decode_payload(arg) for arg in args])
 
 
 class InlineExecutor:
@@ -136,10 +111,8 @@ class InlineExecutor:
         if self._initializer is not None:
             self._initializer(*self._initargs)
 
-    def wrap(
-        self, fn: Callable[..., Any], retry: RetryPolicy
-    ) -> Callable[..., Any]:
-        return functools.partial(_run_unit, fn, retry)
+    def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        return fn
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         future: "Future[Any]" = Future()
@@ -188,10 +161,8 @@ class ThreadPoolRuntime:
             thread_name_prefix=self._thread_name_prefix,
         )
 
-    def wrap(
-        self, fn: Callable[..., Any], retry: RetryPolicy
-    ) -> Callable[..., Any]:
-        return functools.partial(_run_unit, fn, retry)
+    def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        return fn
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         if self._pool is None:
@@ -254,10 +225,8 @@ class ProcessPoolRuntime:
                 raise
         self._pool = pool
 
-    def wrap(
-        self, fn: Callable[..., Any], retry: RetryPolicy
-    ) -> Callable[..., Any]:
-        return functools.partial(_run_unit_wrapped, fn, retry)
+    def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        return functools.partial(_run_unit_wrapped, fn)
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         if self._pool is None:
@@ -292,7 +261,6 @@ class Runtime:
         kind: str,
         n_workers: Optional[int] = None,
         fallback: Optional[FallbackPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
         probe: Optional[Tuple[Callable[..., Any], Tuple[Any, ...]]] = None,
@@ -308,7 +276,6 @@ class Runtime:
         self.kind = kind
         self.n_workers = n_workers if n_workers is not None else 1
         self.fallback = fallback if fallback is not None else FallbackPolicy()
-        self.retry = retry if retry is not None else RetryPolicy()
         self._initializer = initializer
         self._initargs = initargs
         self._probe = probe
@@ -417,9 +384,9 @@ class Runtime:
 
     def _wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
         if self._transport_active():
-            return functools.partial(_run_unit_shm, fn, self.retry)
+            return functools.partial(_run_unit_shm, fn)
         assert self._executor is not None
-        return self._executor.wrap(fn, self.retry)
+        return self._executor.wrap(fn)
 
     def _submit_encoded(
         self, wrapped: Callable[..., Any], args: Tuple[Any, ...]

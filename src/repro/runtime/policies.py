@@ -3,16 +3,14 @@
 A :class:`FallbackPolicy` names the ordered ladder of executor kinds a
 :class:`~repro.runtime.executor.Runtime` may demote through when a pool
 cannot spawn (restricted environments) or breaks mid-run (workers
-killed, unpicklable payloads).  A :class:`RetryPolicy` bounds how many
-times one unit of work is re-attempted before its error propagates.
-Both are small frozen dataclasses so they pickle cleanly into worker
-processes and print usefully in logs.
+killed, unpicklable payloads).  It is a small frozen dataclass, so it
+pickles cleanly into worker processes and prints usefully in logs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Type
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
@@ -71,30 +69,3 @@ class FallbackPolicy:
             return (kind,)
         index = self.ladder.index(kind)
         return self.ladder[index:]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-unit retry with capped attempts.
-
-    ``max_attempts`` counts total tries (1 = no retry, the default).
-    Only errors matching ``retry_on`` are retried; anything else
-    propagates immediately.  Retries happen where the unit runs (inside
-    the worker for pool executors), so a retried unit never crosses the
-    pool boundary twice.
-    """
-
-    max_attempts: int = 1
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-
-    def should_retry(self, error: BaseException, attempt: int) -> bool:
-        """Whether attempt number ``attempt`` (1-based) may be redone."""
-        return attempt < self.max_attempts and isinstance(
-            error, self.retry_on
-        )

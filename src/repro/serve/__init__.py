@@ -23,11 +23,7 @@ from repro.serve.loadgen import (
     build_recording_pool,
     run_loadgen,
 )
-from repro.serve.metrics import (
-    LatencySummary,
-    MetricsCollector,
-    ServiceMetrics,
-)
+from repro.serve.metrics import LatencySummary, ServiceEvents, ServiceMetrics
 from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
 from repro.serve.request import (
     RequestStatus,
@@ -47,12 +43,12 @@ __all__ = [
     "LatencySummary",
     "LoadgenConfig",
     "LoadgenReport",
-    "MetricsCollector",
     "MicroBatchScheduler",
     "PipelineSpec",
     "RecordingPool",
     "RequestStatus",
     "ServiceConfig",
+    "ServiceEvents",
     "ServiceMetrics",
     "UserActivityModel",
     "VerificationRequest",

@@ -29,11 +29,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ServiceOverloadError
-from repro.serve.request import (
-    RequestStatus,
-    VerificationRequest,
-    VerificationResponse,
-)
+from repro.runtime import LatencySummary, StageEvent, StageEventAggregator
+from repro.serve.metrics import count
+from repro.serve.request import RequestStatus, VerificationRequest
 from repro.serve.service import VerificationService
 from repro.utils.rng import derive_seed
 from repro.utils.stats import percentile as _shared_percentile
@@ -262,24 +260,73 @@ def build_recording_pool(
     return RecordingPool(pairs=pairs)
 
 
+#: Scope of the events a load generator records.
+CLIENT_SCOPE = "client"
+
+
 @dataclass
 class LoadgenReport:
-    """Outcome of one load-generation run.
+    """Client-side view of one load-generation run (service or fleet).
 
-    ``n_issued == n_served + n_rejected + n_shed + n_failed`` always
-    holds — a request has exactly one terminal status (pinned by the
-    serving tests).
+    The client records one ``scope="client"`` event per issued request
+    and per response (its status, with the caller-observed latency as
+    wall time, plus ``degraded`` / ``rerouted`` flags) into ``events``;
+    every count is computed from them.  After the run,
+    ``n_issued == n_served + n_rejected + n_shed + n_failed`` — a
+    request has exactly one terminal status (pinned by the serving and
+    fleet tests).
     """
 
-    mode: str
-    n_issued: int = 0
-    n_served: int = 0
-    n_degraded: int = 0
-    n_rejected: int = 0
-    n_shed: int = 0
-    n_failed: int = 0
+    mode: str = "open"
     wall_s: float = 0.0
-    latencies_s: List[float] = field(default_factory=list)
+    events: StageEventAggregator = field(
+        default_factory=StageEventAggregator
+    )
+
+    def _count(self, stage: str) -> int:
+        return count(self.events.grouped(CLIENT_SCOPE), stage)
+
+    @property
+    def n_issued(self) -> int:
+        return self._count("issued")
+
+    @property
+    def n_served(self) -> int:
+        return self._count("served")
+
+    @property
+    def n_degraded(self) -> int:
+        return self._count("degraded")
+
+    @property
+    def n_rerouted(self) -> int:
+        """Served by a fleet failover shard (always 0 for a service)."""
+        return self._count("rerouted")
+
+    @property
+    def n_rejected(self) -> int:
+        return self._count("rejected")
+
+    @property
+    def n_shed(self) -> int:
+        return self._count("shed")
+
+    @property
+    def n_failed(self) -> int:
+        return self._count("failed")
+
+    @property
+    def latencies_s(self) -> List[float]:
+        """Caller-observed latencies (seconds) of served requests."""
+        return [
+            event.wall_s
+            for event in self.events.grouped(CLIENT_SCOPE).get("served", ())
+        ]
+
+    @property
+    def latency(self) -> Optional[LatencySummary]:
+        """p50/p95/p99 over served requests (``None`` before any)."""
+        return LatencySummary.from_samples(self.latencies_s)
 
     @property
     def throughput_rps(self) -> float:
@@ -292,19 +339,22 @@ class LoadgenReport:
         """Latency percentile (seconds) over served requests."""
         return _shared_percentile(self.latencies_s, percentile)
 
-    def account(self, response: VerificationResponse) -> None:
-        """Fold one response into the tallies (thread-unsafe; lock)."""
+    def record(self, stage: str, wall_s: float = 0.0) -> None:
+        """Record one client event (``issued``, or a refusal raised at
+        submit time such as ``rejected``)."""
+        self.events.emit(
+            StageEvent(stage=stage, wall_s=wall_s, scope=CLIENT_SCOPE)
+        )
+
+    def account(self, response) -> None:
+        """Fold one :class:`VerificationResponse` (or fleet response)
+        into the report."""
+        self.record(response.status.value, response.total_s)
         if response.status is RequestStatus.SERVED:
-            self.n_served += 1
             if response.degraded:
-                self.n_degraded += 1
-            self.latencies_s.append(response.total_s)
-        elif response.status is RequestStatus.SHED:
-            self.n_shed += 1
-        elif response.status is RequestStatus.REJECTED:
-            self.n_rejected += 1
-        else:
-            self.n_failed += 1
+                self.record("degraded")
+            if getattr(response, "rerouted", False):
+                self.record("rerouted")
 
 
 def _make_request(
@@ -351,19 +401,16 @@ def run_loadgen(
         attack_fraction=config.attack_fraction,
     )
     report = LoadgenReport(mode=config.mode)
-    report_lock = threading.Lock()
     users = config.user_model()
     start = time.monotonic()
 
     def issue(index: int) -> Optional[object]:
         request = _make_request(config, pool, index, users=users)
-        with report_lock:
-            report.n_issued += 1
+        report.record("issued")
         try:
             return service.submit(request)
         except ServiceOverloadError:
-            with report_lock:
-                report.n_rejected += 1
+            report.record("rejected")
             return None
 
     if config.mode == "closed":
@@ -380,9 +427,7 @@ def run_loadgen(
                 future = issue(index)
                 if future is None:
                     continue
-                response = future.result()
-                with report_lock:
-                    report.account(response)
+                report.account(future.result())
 
         threads = [
             threading.Thread(target=client, name=f"loadgen-{i}")
@@ -404,9 +449,7 @@ def run_loadgen(
             if future is not None:
                 futures.append(future)
         for future in futures:
-            response = future.result()
-            with report_lock:
-                report.account(response)
+            report.account(future.result())
 
     report.wall_s = time.monotonic() - start
     return report

@@ -1,61 +1,70 @@
-"""Service metrics: latency percentiles, throughput, refusal counts.
+"""Service metrics: a view over the service's one event aggregator.
 
-A :class:`MetricsCollector` accumulates per-request observations behind
-a lock; :meth:`MetricsCollector.snapshot` freezes them into a
-:class:`ServiceMetrics` value object that
-:func:`repro.eval.reporting.format_service_metrics` renders in the same
-plain-text style as the campaign runner's stats block.
-
-Stage-level observability arrives as :class:`repro.runtime.StageEvent`
-streams from the workers (:meth:`MetricsCollector.record_stage_events`)
-— the same protocol the campaign runner aggregates — so fallback
-annotations (deadline skips, full-recording degrades, runtime ladder
-demotions) are counted uniformly across the serving and evaluation
-surfaces.
+:class:`~repro.serve.service.VerificationService` records everything
+into one :class:`ServiceEvents` aggregator: the workers'
+:class:`~repro.runtime.StageEvent` streams arrive unchanged, as do the
+runtime's ladder events while a worker pool starts, and the service
+adds one ``scope="serve"`` event per submission, request
+outcome (``served`` / ``rejected`` / ``shed`` / ``failed``, plus
+``degraded`` and ``queue-wait`` for served requests) and dispatched
+``batch``.  :meth:`ServiceMetrics.from_events` computes the frozen
+snapshot from those events; nothing is tallied twice.  Stage rows are
+the workers' ``scope="pipeline"`` events — the same values each
+response's ``stage_timings_s`` carries — and fallback counts come from
+the same streams, so deadline skips, full-recording degrades,
+sequential batch fallbacks and runtime ladder demotions are counted
+the way the campaign runner counts them.
+:func:`repro.eval.reporting.format_service_metrics` renders a
+snapshot.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
-from repro.runtime import StageEvent
+from repro.runtime import LatencySummary, StageEvent, StageEventAggregator
 from repro.serve.batching import BatchControllerStats
-from repro.utils.stats import (
-    REPORTED_PERCENTILES as _REPORTED_PERCENTILES,
-    percentile_values,
-)
 
-#: Percentiles reported for every latency distribution.
-REPORTED_PERCENTILES: Tuple[int, ...] = tuple(
-    int(p) for p in _REPORTED_PERCENTILES
-)
+#: Scope of the events the service itself records.
+SERVE_SCOPE = "serve"
 
 
-@dataclass(frozen=True)
-class LatencySummary:
-    """p50/p95/p99 (seconds) plus count for one latency distribution."""
+def count(groups: Mapping[str, List[StageEvent]], stage: str) -> int:
+    """Events recorded under ``stage`` in a :meth:`grouped` mapping."""
+    return len(groups.get(stage, ()))
 
-    count: int
-    p50_s: float
-    p95_s: float
-    p99_s: float
 
-    @classmethod
-    def from_samples(
-        cls, samples: List[float]
-    ) -> Optional["LatencySummary"]:
-        if not samples:
-            return None
-        p50, p95, p99 = percentile_values(samples, REPORTED_PERCENTILES)
-        return cls(
-            count=len(samples),
-            p50_s=float(p50),
-            p95_s=float(p95),
-            p99_s=float(p99),
-        )
+def latency(
+    groups: Mapping[str, List[StageEvent]], stage: str
+) -> Optional[LatencySummary]:
+    """Percentiles of ``stage``'s wall times in a :meth:`grouped`
+    mapping (``None`` when it has none)."""
+    return LatencySummary.from_samples(
+        [event.wall_s for event in groups.get(stage, ())]
+    )
+
+
+class ServiceEvents(StageEventAggregator):
+    """The service's aggregator, with live dispatch counters.
+
+    ``n_batches`` / ``n_batched_requests`` read the ``batch`` events
+    at call time, so a caller can hold the aggregator and diff the
+    counters around a traffic pass.
+    """
+
+    def _batches(self) -> List[StageEvent]:
+        return self.grouped(SERVE_SCOPE).get("batch", [])
+
+    @property
+    def n_batches(self) -> int:
+        """Micro-batches dispatched so far."""
+        return len(self._batches())
+
+    @property
+    def n_batched_requests(self) -> int:
+        """Requests dispatched in those batches."""
+        return sum(event.batch_size for event in self._batches())
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,8 @@ class ServiceMetrics:
         Requests currently queued / awaiting batch formation at
         snapshot time.
     wall_s / throughput_rps:
-        Time since service start and served requests per second.
+        Time since the service started (warm-up excluded) and served
+        requests per second.
     total_latency / queue_wait:
         End-to-end and queued-time percentiles.
     stage_latency:
@@ -116,123 +126,39 @@ class ServiceMetrics:
             self.n_served + self.n_rejected + self.n_shed + self.n_failed
         )
 
-
-class MetricsCollector:
-    """Thread-safe accumulator behind the service's metrics endpoint."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._started_at = time.monotonic()
-        self.n_submitted = 0
-        self.n_served = 0
-        self.n_degraded = 0
-        self.n_rejected = 0
-        self.n_shed = 0
-        self.n_failed = 0
-        self.n_batches = 0
-        self.n_batched_requests = 0
-        self._total_latencies: List[float] = []
-        self._queue_waits: List[float] = []
-        self._stage_latencies: Dict[str, List[float]] = {}
-        self._stage_fallbacks: Dict[str, int] = {}
-
-    def record_submitted(self) -> None:
-        with self._lock:
-            self.n_submitted += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.n_rejected += 1
-
-    def record_shed(self) -> None:
-        with self._lock:
-            self.n_shed += 1
-
-    def record_failed(self) -> None:
-        with self._lock:
-            self.n_failed += 1
-
-    def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.n_batches += 1
-            self.n_batched_requests += size
-
-    def record_stage_events(
-        self, events: Iterable[StageEvent]
-    ) -> None:
-        """Fold a worker's :class:`StageEvent` stream into the counters.
-
-        Fallback annotations become ``stage:fallback`` counts; stage
-        wall times are *not* re-recorded here (they arrive once via
-        :meth:`record_served`'s timing dict, which the pipeline derives
-        from the same events).
-        """
-        with self._lock:
-            for event in events:
-                if event.fallback is not None:
-                    key = f"{event.stage}:{event.fallback}"
-                    self._stage_fallbacks[key] = (
-                        self._stage_fallbacks.get(key, 0) + 1
-                    )
-
-    def record_served(
-        self,
-        total_s: float,
-        queue_wait_s: float,
-        stage_timings_s: Mapping[str, float],
-        degraded: bool,
-    ) -> None:
-        with self._lock:
-            self.n_served += 1
-            if degraded:
-                self.n_degraded += 1
-            self._total_latencies.append(total_s)
-            self._queue_waits.append(queue_wait_s)
-            for stage, seconds in stage_timings_s.items():
-                self._stage_latencies.setdefault(stage, []).append(
-                    seconds
-                )
-
-    def snapshot(
-        self,
+    @classmethod
+    def from_events(
+        cls,
+        events: StageEventAggregator,
         queue_depth: int = 0,
         n_pending: int = 0,
         batch_controller: Optional[BatchControllerStats] = None,
-    ) -> ServiceMetrics:
-        """Freeze the current counters into a :class:`ServiceMetrics`."""
-        with self._lock:
-            wall_s = time.monotonic() - self._started_at
-            mean_batch = (
-                self.n_batched_requests / self.n_batches
-                if self.n_batches
+    ) -> "ServiceMetrics":
+        """The snapshot of everything ``events`` recorded so far."""
+        serve = events.grouped(SERVE_SCOPE)
+        batches = serve.get("batch", [])
+        n_served = count(serve, "served")
+        wall_s = events.wall_s
+        return cls(
+            n_submitted=count(serve, "submitted"),
+            n_served=n_served,
+            n_degraded=count(serve, "degraded"),
+            n_rejected=count(serve, "rejected"),
+            n_shed=count(serve, "shed"),
+            n_failed=count(serve, "failed"),
+            n_batches=len(batches),
+            mean_batch_size=(
+                sum(event.batch_size for event in batches) / len(batches)
+                if batches
                 else 0.0
-            )
-            return ServiceMetrics(
-                n_submitted=self.n_submitted,
-                n_served=self.n_served,
-                n_degraded=self.n_degraded,
-                n_rejected=self.n_rejected,
-                n_shed=self.n_shed,
-                n_failed=self.n_failed,
-                n_batches=self.n_batches,
-                mean_batch_size=mean_batch,
-                queue_depth=queue_depth,
-                n_pending=n_pending,
-                wall_s=wall_s,
-                throughput_rps=(
-                    self.n_served / wall_s if wall_s > 0 else 0.0
-                ),
-                total_latency=LatencySummary.from_samples(
-                    self._total_latencies
-                ),
-                queue_wait=LatencySummary.from_samples(
-                    self._queue_waits
-                ),
-                stage_latency={
-                    stage: LatencySummary.from_samples(samples)
-                    for stage, samples in self._stage_latencies.items()
-                    if samples
-                },
-                stage_fallbacks=dict(self._stage_fallbacks),
-                batch_controller=batch_controller,
-            )
+            ),
+            queue_depth=queue_depth,
+            n_pending=n_pending,
+            wall_s=wall_s,
+            throughput_rps=n_served / wall_s if wall_s > 0 else 0.0,
+            total_latency=latency(serve, "served"),
+            queue_wait=latency(serve, "queue-wait"),
+            stage_latency=events.summarize("pipeline"),
+            stage_fallbacks=events.fallback_counts(),
+            batch_controller=batch_controller,
+        )

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Union
 
 from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.runtime import StageEvent, capture_stage_events
 from repro.serve.batching import Batch, BatchingConfig, MicroBatchScheduler
-from repro.serve.metrics import MetricsCollector, ServiceMetrics
+from repro.serve.metrics import SERVE_SCOPE, ServiceEvents, ServiceMetrics
 from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
 from repro.serve.request import (
     RequestStatus,
@@ -192,7 +193,10 @@ class VerificationService:
     ) -> None:
         self.spec = spec or PipelineSpec()
         self.config = config or ServiceConfig()
-        self.metrics_collector = MetricsCollector()
+        #: The service's one metrics collector: worker events plus the
+        #: service's own ``scope="serve"`` events (see
+        #: :mod:`repro.serve.metrics`).
+        self.metrics_collector = ServiceEvents()
         self._queue: "BoundedRequestQueue[_Entry]" = BoundedRequestQueue(
             capacity=self.config.queue_capacity,
             policy=self.config.backpressure,
@@ -237,7 +241,10 @@ class VerificationService:
             if self._started:
                 return
             warmup_start = time.monotonic()
-            self._pool.start()
+            # Ladder demotions while the pool starts (process → thread)
+            # are runtime events; record them with everything else.
+            with capture_stage_events(self.metrics_collector):
+                self._pool.start()
             self.warmup_s = time.monotonic() - warmup_start
             self._thread = threading.Thread(
                 target=self._scheduler_loop,
@@ -245,6 +252,7 @@ class VerificationService:
                 daemon=True,
             )
             self._thread.start()
+            self.metrics_collector.start_clock()
             self._started = True
 
     def stop(self) -> None:
@@ -302,7 +310,8 @@ class VerificationService:
                 n_workers=n_workers,
                 mode=self.config.worker_mode,
             )
-            new_pool.start()
+            with capture_stage_events(self.metrics_collector):
+                new_pool.start()
             old_pool, self._pool = self._pool, new_pool
             self.config.n_workers = n_workers
         self._wake.set()
@@ -316,6 +325,11 @@ class VerificationService:
     def n_workers(self) -> int:
         """Current worker-pool size (tracks :meth:`resize_workers`)."""
         return self._pool.n_workers
+
+    @property
+    def queue_depth(self) -> int:
+        """Requests waiting in the admission queue right now."""
+        return self._queue.depth
 
     @property
     def realized_worker_mode(self) -> Optional[str]:
@@ -354,7 +368,7 @@ class VerificationService:
             and self.config.default_deadline_s is not None
         ):
             request.deadline_s = self.config.default_deadline_s
-        self.metrics_collector.record_submitted()
+        self._record("submitted")
         entry = _Entry(
             request=request,
             future=Future(),
@@ -363,16 +377,17 @@ class VerificationService:
         try:
             shed = self._queue.put(entry)
         except ServiceOverloadError:
-            self.metrics_collector.record_rejected()
+            self._record("rejected")
             raise
         self._wake.set()
         if shed is not None:
-            self.metrics_collector.record_shed()
+            shed_total_s = time.monotonic() - shed.submitted_at
+            self._record("shed", shed_total_s)
             shed.future.set_result(
                 VerificationResponse(
                     request_id=shed.request.request_id,
                     status=RequestStatus.SHED,
-                    total_s=time.monotonic() - shed.submitted_at,
+                    total_s=shed_total_s,
                     error=(
                         "shed by backpressure policy 'shed-oldest' "
                         f"(queue capacity {self._queue.capacity})"
@@ -392,10 +407,24 @@ class VerificationService:
         with self._scheduler_lock:
             n_pending = self._scheduler.n_pending
             controller = self._scheduler.controller_stats()
-        return self.metrics_collector.snapshot(
-            queue_depth=self._queue.depth,
+        return ServiceMetrics.from_events(
+            self.metrics_collector,
+            queue_depth=self.queue_depth,
             n_pending=n_pending,
             batch_controller=controller,
+        )
+
+    def _record(
+        self, stage: str, wall_s: float = 0.0, batch_size: int = 1
+    ) -> None:
+        """Record one of the service's own ``scope="serve"`` events."""
+        self.metrics_collector.emit(
+            StageEvent(
+                stage=stage,
+                wall_s=wall_s,
+                batch_size=batch_size,
+                scope=SERVE_SCOPE,
+            )
         )
 
     # ------------------------------------------------------------------
@@ -464,7 +493,7 @@ class VerificationService:
             entries=[entry.request for entry in entries],
             formed_reason=batch.formed_reason,
         )
-        self.metrics_collector.record_batch(len(entries))
+        self._record("batch", batch_size=len(entries))
         try:
             pool_future = self._pool.submit(payload, ages)
         except Exception:
@@ -496,10 +525,7 @@ class VerificationService:
                 return
             results = pool_future.result()
             for result in results:
-                if result.events:
-                    self.metrics_collector.record_stage_events(
-                        result.events
-                    )
+                self.metrics_collector.extend(result.events)
             by_id: Dict[int, WorkerResult] = dict(enumerate(results))
             now = time.monotonic()
             for index, entry in enumerate(entries):
@@ -510,7 +536,7 @@ class VerificationService:
                         if result is not None
                         else "worker returned no result"
                     )
-                    self.metrics_collector.record_failed()
+                    self._record("failed", now - entry.submitted_at)
                     entry.future.set_result(
                         VerificationResponse(
                             request_id=entry.request.request_id,
@@ -525,12 +551,10 @@ class VerificationService:
                     continue
                 total_s = now - entry.submitted_at
                 queue_wait_s = entry.dispatched_at - entry.submitted_at
-                self.metrics_collector.record_served(
-                    total_s=total_s,
-                    queue_wait_s=queue_wait_s,
-                    stage_timings_s=result.stage_timings_s,
-                    degraded=result.degraded,
-                )
+                self._record("served", total_s)
+                self._record("queue-wait", queue_wait_s)
+                if result.degraded:
+                    self._record("degraded")
                 # Drive the adaptive batch-size controller (no-op in
                 # fixed mode).  Thread-safe without _scheduler_lock:
                 # observe_latency only touches the controller's own
@@ -559,7 +583,7 @@ class VerificationService:
     ) -> None:
         now = time.monotonic()
         for entry in entries:
-            self.metrics_collector.record_failed()
+            self._record("failed", now - entry.submitted_at)
             entry.future.set_result(
                 VerificationResponse(
                     request_id=entry.request.request_id,

@@ -14,7 +14,7 @@ from repro.core.segmentation import PhonemeSegmenter
 from repro.errors import ModelError
 from repro.eval.reporting import format_service_metrics
 from repro.nn.model import SequenceClassifier
-from repro.serve.metrics import MetricsCollector
+from repro.serve.metrics import ServiceEvents, ServiceMetrics
 from repro.serve.request import VerificationRequest
 from repro.serve.workers import PipelineSpec, execute_batch
 
@@ -360,12 +360,12 @@ class TestSingleCodePath:
         )
         assert calls == [3, 1, 1, 1]
         assert [r.verdict for r in results] == expected
-        collector = MetricsCollector()
+        events = ServiceEvents()
         for result in results:
             assert result.error is None
-            collector.record_stage_events(result.events)
-        fallbacks = collector.snapshot().stage_fallbacks
+            events.extend(result.events)
+        fallbacks = ServiceMetrics.from_events(events).stage_fallbacks
         assert fallbacks == {"execute_batch:sequential": 1}
         assert "execute_batch:sequential x1" in format_service_metrics(
-            collector.snapshot()
+            ServiceMetrics.from_events(events)
         )

@@ -63,6 +63,53 @@ def test_loadgen_command(capsys):
     assert "latency p50/p95/p99" in captured
 
 
+@pytest.mark.parametrize(
+    "skew, message",
+    [
+        (
+            {"n_submitted": 1},
+            "error: service resolved 4 of 5 submitted request(s)",
+        ),
+        (
+            {"n_served": -1, "n_failed": 1},
+            "error: service counted 3 served, client 4",
+        ),
+    ],
+)
+def test_loadgen_fails_closed_on_accounting_mismatch(
+    capsys, monkeypatch, skew, message
+):
+    import dataclasses
+
+    from repro.serve import VerificationService
+
+    honest = VerificationService.metrics
+
+    def skewed(service):
+        metrics = honest(service)
+        return dataclasses.replace(
+            metrics,
+            **{
+                name: getattr(metrics, name) + delta
+                for name, delta in skew.items()
+            },
+        )
+
+    monkeypatch.setattr(VerificationService, "metrics", skewed)
+    exit_code = main(
+        [
+            "loadgen",
+            "--segmenter", "none",
+            "--workers", "1",
+            "--requests", "4",
+            "--concurrency", "2",
+            "--seed", "11",
+        ]
+    )
+    assert exit_code == 1
+    assert message in capsys.readouterr().out
+
+
 def test_fleet_loadgen_command(capsys):
     exit_code = main(
         [

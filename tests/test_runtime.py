@@ -14,7 +14,6 @@ from repro.phonemes.corpus import SyntheticCorpus
 from repro.runtime import (
     EXECUTOR_KINDS,
     FallbackPolicy,
-    RetryPolicy,
     Runtime,
     capture_stage_events,
 )
@@ -59,15 +58,6 @@ class TestPolicies:
             FallbackPolicy(ladder=("process", "process"))
         with pytest.raises(ConfigurationError):
             FallbackPolicy(ladder=("process", "fiber"))
-
-    def test_retry_policy_bounds(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        policy = RetryPolicy(max_attempts=3, retry_on=(ValueError,))
-        assert policy.should_retry(ValueError("x"), 1)
-        assert policy.should_retry(ValueError("x"), 2)
-        assert not policy.should_retry(ValueError("x"), 3)
-        assert not policy.should_retry(KeyError("x"), 1)
 
 
 class TestExecutorsBasic:
@@ -135,30 +125,6 @@ class TestErrorPropagation:
         assert isinstance(clone, WorkerError)
         # Idempotent wrapping.
         assert WorkerError.from_exception(original) is original
-
-
-class TestRetry:
-    def test_flaky_unit_retried_up_to_cap(self):
-        attempts = []
-
-        def flaky(x):
-            attempts.append(x)
-            if len(attempts) < 3:
-                raise ValueError("transient")
-            return x
-
-        runtime = Runtime(
-            "inline", retry=RetryPolicy(max_attempts=3)
-        )
-        assert runtime.map_units(flaky, [9]) == [9]
-        assert len(attempts) == 3
-
-    def test_exhausted_retries_raise(self):
-        runtime = Runtime(
-            "inline", retry=RetryPolicy(max_attempts=2)
-        )
-        with pytest.raises(ValueError):
-            runtime.map_units(_boom, [1])
 
 
 class TestFallbackLadder:

@@ -29,7 +29,10 @@ from repro.runtime import (
     capture_stage_events,
     emit_event,
 )
-from repro.serve.metrics import MetricsCollector
+from repro.fleet import FleetMetrics, ServiceShard
+from repro.serve import PipelineSpec, ServiceConfig, VerificationService
+from repro.serve.metrics import ServiceEvents, ServiceMetrics
+from repro.utils.stats import percentile_values
 from repro.dsp.generators import white_noise
 
 RATE = 16_000.0
@@ -167,7 +170,6 @@ class TestAggregator:
         for wall in (0.010, 0.020, 0.030):
             aggregator.emit(StageEvent(stage="sync", wall_s=wall))
         summary = aggregator.summarize()["sync"]
-        assert summary.stage == "sync"
         assert summary.count == 3
         assert summary.p50_s == 0.020
 
@@ -206,20 +208,70 @@ class TestSinkParity:
         va, wearable = recordings
         with capture_stage_events() as captured:
             _, timings = pipeline.analyze_timed(va, wearable, rng=0)
-        collector = MetricsCollector()
-        collector.record_served(
-            total_s=sum(timings.values()),
-            queue_wait_s=0.0,
-            stage_timings_s=timings,
-            degraded=False,
+        events = ServiceEvents()
+        events.extend(captured.events)
+        events.emit(
+            StageEvent("served", sum(timings.values()), scope="serve")
         )
-        collector.record_stage_events(captured.events)
-        snapshot = collector.snapshot()
+        snapshot = ServiceMetrics.from_events(events)
         serve_stages = set(snapshot.stage_latency)
         eval_stages = set(campaign_stats.stage_totals)
         assert serve_stages == set(PIPELINE_STAGES)
         assert eval_stages == set(PIPELINE_STAGES)
         assert serve_stages == eval_stages
+        # The fleet view: a shard whose service recorded the same
+        # stream reports the same stage set through FleetMetrics.
+        service = VerificationService(
+            PipelineSpec(use_segmenter=False),
+            ServiceConfig(backpressure="reject"),
+        )
+        service.metrics_collector.extend(events.events)
+        fleet = FleetMetrics.from_events(
+            StageEventAggregator(),
+            {"shard-0": ServiceShard("shard-0", service)},
+        )
+        shard_view = fleet.shards["shard-0"].service
+        assert set(shard_view.stage_latency) == serve_stages
+        assert shard_view.stage_latency == snapshot.stage_latency
+        assert fleet.stage_fallbacks == snapshot.stage_fallbacks
+
+    def test_stage_latency_matches_timing_dict_path_bitwise(
+        self, pipeline, recordings
+    ):
+        """Stage rows computed from the recorded events equal the
+        percentiles of the per-request timing dicts (the values each
+        response's ``stage_timings_s`` carries), bit for bit."""
+        va, wearable = recordings
+        events = ServiceEvents()
+        timing_dicts = []
+        for seed in range(5):
+            with capture_stage_events() as captured:
+                _, timings = pipeline.analyze_timed(
+                    va, wearable, rng=seed, skip_segmentation=seed == 3
+                )
+            events.extend(captured.events)
+            timing_dicts.append(timings)
+        outcomes = pipeline.analyze_batch(
+            [
+                BatchAnalysisItem(va_audio=va, wearable_audio=wearable, rng=i)
+                for i in range(3)
+            ]
+        )
+        for outcome in outcomes:
+            events.extend(outcome.events)
+            timing_dicts.append(outcome.timings)
+        snapshot = ServiceMetrics.from_events(events)
+        assert set(snapshot.stage_latency) == set(PIPELINE_STAGES)
+        for stage in PIPELINE_STAGES:
+            walls = [timings[stage] for timings in timing_dicts]
+            p50, p95, p99 = percentile_values(walls, (50, 95, 99))
+            summary = snapshot.stage_latency[stage]
+            assert summary.count == len(walls) == 8
+            assert (summary.p50_s, summary.p95_s, summary.p99_s) == (
+                float(p50),
+                float(p95),
+                float(p99),
+            )
 
     def test_campaign_units_record_stage_seconds(self, campaign_stats):
         for unit in campaign_stats.units:
@@ -242,15 +294,13 @@ class TestSinkParity:
             _, timings = pipeline.analyze_timed(
                 va, wearable, rng=0, skip_segmentation=True
             )
-        collector = MetricsCollector()
-        collector.record_served(
-            total_s=sum(timings.values()),
-            queue_wait_s=0.0,
-            stage_timings_s=timings,
-            degraded=True,
+        events = ServiceEvents()
+        events.extend(captured.events)
+        events.emit(
+            StageEvent("served", sum(timings.values()), scope="serve")
         )
-        collector.record_stage_events(captured.events)
-        snapshot = collector.snapshot()
+        events.emit(StageEvent("degraded", 0.0, scope="serve"))
+        snapshot = ServiceMetrics.from_events(events)
         assert snapshot.stage_fallbacks == {
             "segment:deadline-skip": 1
         }

@@ -9,10 +9,11 @@ from repro.eval.reporting import format_service_metrics
 from repro.serve import (
     BatchingConfig,
     BatchSizeController,
-    MetricsCollector,
     MicroBatchScheduler,
     PipelineSpec,
     ServiceConfig,
+    ServiceEvents,
+    ServiceMetrics,
     VerificationRequest,
     VerificationService,
 )
@@ -212,8 +213,8 @@ class TestMetricsPlumbing:
         controller = BatchSizeController(adaptive_config())
         for _ in range(8):
             controller.observe(0.5)
-        snapshot = MetricsCollector().snapshot(
-            batch_controller=controller.stats()
+        snapshot = ServiceMetrics.from_events(
+            ServiceEvents(), batch_controller=controller.stats()
         )
         assert snapshot.batch_controller.n_shrink >= 1
         report = format_service_metrics(snapshot)
@@ -221,7 +222,7 @@ class TestMetricsPlumbing:
 
     def test_report_handles_empty_window(self):
         controller = BatchSizeController(adaptive_config())
-        snapshot = MetricsCollector().snapshot(
-            batch_controller=controller.stats()
+        snapshot = ServiceMetrics.from_events(
+            ServiceEvents(), batch_controller=controller.stats()
         )
         assert "rolling p95 n/a" in format_service_metrics(snapshot)
